@@ -299,6 +299,24 @@ class GroupBackend(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+#: Refreshes that change at most ``1/_PATCH_CHURN`` of the keys are patched in
+#: place; more churn rebuilds.  Measured with the 32x32 Huffman city's 6-zone
+#: standing plan (74 slots over 141 positions, 64-bit primes, reference
+#: backend, 2 vCPU Xeon at 2.0 GHz), best of three warm passes with ``k`` of ``n``
+#: keys changed, patch vs rebuild:
+#:
+#: ======  ==============  ===============  ===============
+#: n       k = n/8         k = n/2          k = 3n/4
+#: ======  ==============  ===============  ===============
+#: 200     17 vs 79 ms     100 vs 129 ms    143 vs 126 ms
+#: 2000    222 vs 1249 ms  1035 vs 1341 ms  1573 vs 1348 ms
+#: ======  ==============  ===============  ===============
+#:
+#: A patch costs ~0.7-1 ms per changed key at either size, a rebuild
+#: ~0.4-0.7 ms per key of the population, so they cross between n/2 and 3n/4.
+_PATCH_CHURN = 2
+
+
 class FusedWorklist:
     """Resident packed-column form of a fused worklist.
 
@@ -333,11 +351,26 @@ class FusedWorklist:
     vectorised outcomes, so pairing charges are bit-identical too.
 
     Residency: :meth:`evaluate` takes per-job ``keys`` (any hashable identity
-    for a job's ciphertext, e.g. ``(user_id, sequence_number)``).  Unchanged
-    keys reuse the packed columns as-is; a small fraction of changed keys is
-    patched in place with limb surgery (``column += (new - old) << shift``,
-    sound because limbs never borrow below zero or carry past their width);
-    anything larger rebuilds.
+    for a job's ciphertext, e.g. ``(user_id, sequence_number)``), so a warm
+    pass costs time in proportion to the keys that changed:
+
+    * Each slot's residue vector (one pre-filter outcome per job) is cached
+      and survives refreshes.  A changed key's residues against *every* slot
+      come from one slot-major packed combination -- the token coefficients
+      packed one limb per slot, same limb width and carry-free argument as
+      the user-major columns -- and overwrite only that job's entry.
+    * Each job's outcome row and pairing charge are memoised under
+      ``(key, needed)``.  Unchanged jobs skip the bookkeeping pass but are
+      charged exactly the pairings they were charged before, so
+      ``record_pairings`` burns and counter totals do not change.
+    * The user-major columns are repacked from the reduced rows only when a
+      slot without a cached vector needs them -- rare, since a vector once
+      combined is patched from then on.  A repack (9.6 ms at 200 users,
+      183 ms at 2000) is bounded, where limb surgery on every column
+      (0.5 / 5.1 ms per changed key) would pile up across passes.
+
+    Churn above ``1/_PATCH_CHURN`` of the keys, or a change in population
+    size, rebuilds columns, vectors and memo from scratch.
     """
 
     def __init__(self, program: FusedProgram):
@@ -349,11 +382,6 @@ class FusedWorklist:
         p = int(program.factors[0])
         self._p = p
         self._match_exp_p = int(program.match_exp) % p
-        # Per-limb sums are bounded by (2 + 2*pairs) * p**2 (one c' residue,
-        # one c0*(p - k0) term, two p*p products per pair); 18 slack bits on
-        # top of 2*p.bit_length() keep sums carry-free up to ~130k pairs.
-        self._limb_bits = -(-(2 * p.bit_length() + 18) // 8) * 8
-        self._limb_bytes = self._limb_bits // 8
         # Deduplicate plan entries: one column-combination per distinct slot.
         # _slots holds mod-p token residues for the packed pre-filter;
         # _slots_full keeps the native-precision originals for confirmation.
@@ -369,17 +397,35 @@ class FusedWorklist:
                     slots_full[slot] = (k0, pairs)
         self._slots = slots
         self._slots_full = slots_full
+        self._slot_index = {slot: s for s, slot in enumerate(slots)}
         self._positions = sorted(
             {pos for _, pairs in slots.values() for pos, _k1, _k2 in pairs}
         )
         self._position_index = {pos: i for i, pos in enumerate(self._positions)}
+        # A limb -- one job's slot in a user-major column combination, or one
+        # slot's in a slot-major one -- sums one term per packed column:
+        # the c' residue, c0*(p - k0) and two products per position, each
+        # below p**2.  18 slack bits on top of 2*p.bit_length() keep that
+        # carry-free up to ~130k positions; anything wider must not pack.
+        self._limb_bits = -(-(2 * p.bit_length() + 18) // 8) * 8
+        self._limb_bytes = self._limb_bits // 8
+        if (2 + 2 * len(self._positions)) * p * p >= 1 << self._limb_bits:
+            raise ValueError(
+                f"{len(self._positions)} positions overflow a {self._limb_bits}-bit limb"
+            )
         self._keys: Optional[list] = None
         self._rows_p: list[list[int]] = []  # per job, layout mirrors _columns
         self._columns: list[int] = []
-        # Residue vectors are pure functions of the packed columns, so they
-        # stay valid until a refresh touches the columns; static populations
-        # then pay only the bookkeeping pass on repeat evaluations.
+        # True while _rows_p holds patches that _columns does not.
+        self._columns_stale = False
+        # Per slot, the mod-p pre-filter outcome of every job.  A refresh
+        # patches changed jobs' entries in place, so vectors live until a
+        # rebuild; a cache miss is the only full-population combination.
         self._vectors: dict[int, list[bool]] = {}
+        # (key, needed) -> (outcome row, pairing charge) of the last pass.
+        self._memo: dict[tuple, tuple[tuple[bool, ...], int]] = {}
+        # Slot-major token columns, built on the first patch (see _slot_sums).
+        self._token_columns: Optional[list[int]] = None
         #: Passes served from already-packed columns (no full rebuild); the
         #: group folds this into its ``precomp_hits`` observability counter.
         self.column_hits = 0
@@ -394,51 +440,77 @@ class FusedWorklist:
         row.extend(int(c2[pos]) % p for pos in self._positions)
         return row
 
-    def _build(self, jobs: Sequence[tuple], keys: list) -> None:
-        rows = [self._reduce_row(job) for job in jobs]
+    def _pack(self, rows: Sequence[list[int]]) -> list[int]:
+        """Transpose equal-length ``rows`` into columns, one limb per row."""
         nbytes = self._limb_bytes
-        ncols = 2 + 2 * len(self._positions)
-        self._columns = [
+        return [
             int.from_bytes(
                 b"".join(row[col].to_bytes(nbytes, "little") for row in rows), "little"
             )
-            for col in range(ncols)
+            for col in range(2 + 2 * len(self._positions))
         ]
+
+    def _limbs(self, packed: int, count: int) -> list[int]:
+        """The first ``count`` limbs of a packed combination, low to high."""
+        nbytes = self._limb_bytes
+        raw = packed.to_bytes(count * nbytes + nbytes, "little")
+        from_bytes = int.from_bytes
+        return [
+            from_bytes(raw[offset : offset + nbytes], "little")
+            for offset in range(0, count * nbytes, nbytes)
+        ]
+
+    def _build(self, jobs: Sequence[tuple], keys: list) -> None:
+        rows = [self._reduce_row(job) for job in jobs]
+        self._columns = self._pack(rows)
         self._rows_p = rows
         self._keys = keys
+        self._columns_stale = False
         self._vectors.clear()
+        self._memo = {}
 
-    def _refresh(self, jobs: Sequence[tuple], keys: list) -> None:
+    def _refresh(self, jobs: Sequence[tuple], keys: list) -> dict[int, list[bool]]:
+        """Bring the packed state up to ``keys``.
+
+        Returns, for each job patched in place, its pre-filter outcome per
+        slot (in ``_slot_index`` order); empty when nothing was patched.
+        """
         if self._keys == keys:
             self.column_hits += 1
-            return
+            return {}
         if self._keys is not None and len(self._keys) == len(keys):
             changed = [i for i, (a, b) in enumerate(zip(keys, self._keys)) if a != b]
-            if len(changed) * 8 <= len(keys):  # <= 1/8 churn: patch in place
-                columns = self._columns
+            if len(changed) * _PATCH_CHURN <= len(keys):
+                p = self._p
+                slot_index = self._slot_index
+                vectors = self._vectors.items()
+                patched = {}
                 for i in changed:
-                    new_row = self._reduce_row(jobs[i])
-                    old_row = self._rows_p[i]
-                    shift = i * self._limb_bits
-                    for col, (new_v, old_v) in enumerate(zip(new_row, old_row)):
-                        if new_v != old_v:
-                            columns[col] += (new_v - old_v) << shift
-                    self._rows_p[i] = new_row
+                    row = self._reduce_row(jobs[i])
+                    self._rows_p[i] = row
+                    survived = [s % p == 0 for s in self._slot_sums(row)]
+                    for slot, vector in vectors:
+                        vector[i] = survived[slot_index[slot]]
+                    patched[i] = survived
                 self._keys = keys
-                self._vectors.clear()
+                self._columns_stale = True
                 self.column_hits += 1
-                return
+                return patched
         self._build(jobs, keys)
+        return {}
 
     # -- evaluation ----------------------------------------------------
     def _residue_vector(self, slot: int) -> list[bool]:
         """``x % p == 0`` for every packed job, via one column combination.
 
-        Cached until the next refresh invalidates the columns.
+        Cached; refreshes patch the cached vectors in place.
         """
         cached = self._vectors.get(slot)
         if cached is not None:
             return cached
+        if self._columns_stale:
+            self._columns = self._pack(self._rows_p)
+            self._columns_stale = False
         k0_p, pairs = self._slots[slot]
         p = self._p
         columns = self._columns
@@ -449,16 +521,41 @@ class FusedWorklist:
         for pos, k1_p, k2_p in pairs:
             i = pos_index[pos]
             acc = acc + columns[2 + i] * k1_p + columns[2 + npos + i] * k2_p
-        nbytes = self._limb_bytes
-        njobs = len(self._keys)
-        raw = acc.to_bytes(njobs * nbytes + nbytes, "little")
-        from_bytes = int.from_bytes
-        vector = [
-            from_bytes(raw[offset : offset + nbytes], "little") % p == 0
-            for offset in range(0, njobs * nbytes, nbytes)
-        ]
+        vector = [limb % p == 0 for limb in self._limbs(acc, len(self._keys))]
         self._vectors[slot] = vector
         return vector
+
+    def _slot_sums(self, row: list[int]) -> list[int]:
+        """Per slot, the non-negative sum whose residue mod p is ``row``'s
+        pre-filter outcome, all slots in one packed combination.
+
+        The transpose of :meth:`_residue_vector`: token coefficients are
+        packed one limb per slot, so the job row combines against every slot
+        at once.  Each limb holds the same sum a user-major limb would, so
+        the same limb width keeps it carry-free.
+        """
+        columns = self._token_columns
+        if columns is None:
+            columns = self._token_columns = self._pack_tokens()
+        acc = 0
+        for value, column in zip(row, columns):
+            if value:
+                acc += value * column
+        return self._limbs(acc, len(self._slots))
+
+    def _pack_tokens(self) -> list[int]:
+        """Slot-major columns: per row component, every slot's coefficient."""
+        npos = len(self._positions)
+        pos_index = self._position_index
+        coefficients = []
+        for k0_p, pairs in self._slots.values():
+            limb = [1, self._p - k0_p] + [0] * (2 * npos)
+            for pos, k1_p, k2_p in pairs:
+                i = pos_index[pos]
+                limb[2 + i] += k1_p
+                limb[2 + npos + i] += k2_p
+            coefficients.append(limb)
+        return self._pack(coefficients)
 
     def _confirm(self, slot: int, job: tuple) -> bool:
         """Full-modulus check for a mod-p survivor: the exact scalar formula."""
@@ -475,56 +572,76 @@ class FusedWorklist:
         """Drop-in for :meth:`GroupBackend.fused_eval`, same jobs and returns.
 
         ``keys`` carries one hashable identity per job (aligned with
-        ``jobs``) used to decide column reuse vs. surgery vs. rebuild.
+        ``jobs``): it decides reuse vs. patch vs. rebuild, and keys the
+        memoised outcome rows.
         """
         if keys is None:
             raise ValueError("a packed worklist needs per-job keys")
         keys = list(keys)
         if len(keys) != len(jobs):
             raise ValueError("evaluate needs one key per job")
-        self._refresh(jobs, keys)
-        program = self._program
-        batches = program.batches
-        generalizers = program.generalizers
-        residue_vector = self._residue_vector
-        vectors_get = self._vectors.get  # bound once: hit per fresh entry
-        confirm = self._confirm
+        patched = self._refresh(jobs, keys)
+        memo = self._memo
+        next_memo: dict[tuple, tuple[tuple[bool, ...], int]] = {}
         pairings = 0
         rows: list[list[bool]] = []
         for j, job in enumerate(jobs):
-            needed = job[4]
+            needed = tuple(job[4])
             if not needed:
                 rows.append([])
                 continue
-            shared: dict[int, bool] = {}
-            shared_get = shared.get
-            row: list[bool] = []
-            for index in needed:
-                matched = False
-                for slot, _k0, _pairs, cost in batches[index]:
-                    outcome = shared_get(slot)
-                    if outcome is None:
-                        if (
-                            generalizers is not None
-                            and generalizers[slot]
-                            and _ancestor_failed(generalizers, slot, shared)
-                        ):
-                            outcome = False
+            memo_key = (keys[j], needed)
+            done = memo.get(memo_key)
+            if done is None:
+                done = self._outcome_row(j, job, needed, patched.get(j))
+            next_memo[memo_key] = done
+            pairings += done[1]
+            rows.append(list(done[0]))
+        self._memo = next_memo
+        return rows, pairings
+
+    def _outcome_row(
+        self, j: int, job: tuple, needed: tuple, own: Optional[list[bool]]
+    ) -> tuple[tuple[bool, ...], int]:
+        """Job ``j``'s outcome row and pairing charge: the scalar control flow
+        over pre-filter outcomes -- ``own`` for a job patched this pass, else
+        the slots' residue vectors."""
+        batches = self._program.batches
+        generalizers = self._program.generalizers
+        vectors_get = self._vectors.get
+        shared: dict[int, bool] = {}
+        shared_get = shared.get
+        row: list[bool] = []
+        charge = 0
+        for index in needed:
+            matched = False
+            for slot, _k0, _pairs, cost in batches[index]:
+                outcome = shared_get(slot)
+                if outcome is None:
+                    if (
+                        generalizers is not None
+                        and generalizers[slot]
+                        and _ancestor_failed(generalizers, slot, shared)
+                    ):
+                        outcome = False
+                    else:
+                        charge += cost
+                        if own is not None:
+                            survived = own[self._slot_index[slot]]
                         else:
-                            pairings += cost
                             vector = vectors_get(slot)
                             if vector is None:
-                                vector = residue_vector(slot)
-                            outcome = vector[j] and confirm(slot, job)
-                            if outcome and generalizers is not None and generalizers[slot]:
-                                _backfill_true(generalizers, slot, shared)
-                        shared[slot] = outcome
-                    if outcome:
-                        matched = True
-                        break
-                row.append(matched)
-            rows.append(row)
-        return rows, pairings
+                                vector = self._residue_vector(slot)
+                            survived = vector[j]
+                        outcome = survived and self._confirm(slot, job)
+                        if outcome and generalizers is not None and generalizers[slot]:
+                            _backfill_true(generalizers, slot, shared)
+                    shared[slot] = outcome
+                if outcome:
+                    matched = True
+                    break
+            row.append(matched)
+        return tuple(row), charge
 
 
 def _ancestor_failed(

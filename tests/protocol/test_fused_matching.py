@@ -219,8 +219,8 @@ class TestPackedWorklistResidency:
         )
         engine.match(batches, candidates)
         worklist = engine._evaluation_for(batches).fused_worklist
-        # One mover out of eight: below the 1/8 churn bound, so the refresh
-        # patches the mover's limbs instead of rebuilding.
+        # One mover out of eight: below the 1/2 churn bound, so the refresh
+        # patches the mover in place instead of rebuilding.
         moved = [
             MatchCandidate(
                 user_id=c.user_id,
