@@ -469,35 +469,28 @@ class FusedWorklist:
         self._vectors.clear()
         self._memo = {}
 
-    def _refresh(self, jobs: Sequence[tuple], keys: list) -> dict[int, list[bool]]:
-        """Bring the packed state up to ``keys``.
-
-        Returns, for each job patched in place, its pre-filter outcome per
-        slot (in ``_slot_index`` order); empty when nothing was patched.
-        """
+    def _refresh(self, jobs: Sequence[tuple], keys: list) -> None:
+        """Bring the packed state up to ``keys``: reuse, patch or rebuild."""
         if self._keys == keys:
             self.column_hits += 1
-            return {}
+            return
         if self._keys is not None and len(self._keys) == len(keys):
             changed = [i for i, (a, b) in enumerate(zip(keys, self._keys)) if a != b]
             if len(changed) * _PATCH_CHURN <= len(keys):
                 p = self._p
                 slot_index = self._slot_index
                 vectors = self._vectors.items()
-                patched = {}
                 for i in changed:
                     row = self._reduce_row(jobs[i])
                     self._rows_p[i] = row
                     survived = [s % p == 0 for s in self._slot_sums(row)]
                     for slot, vector in vectors:
                         vector[i] = survived[slot_index[slot]]
-                    patched[i] = survived
                 self._keys = keys
                 self._columns_stale = True
                 self.column_hits += 1
-                return patched
+                return
         self._build(jobs, keys)
-        return {}
 
     # -- evaluation ----------------------------------------------------
     def _residue_vector(self, slot: int) -> list[bool]:
@@ -580,7 +573,7 @@ class FusedWorklist:
         keys = list(keys)
         if len(keys) != len(jobs):
             raise ValueError("evaluate needs one key per job")
-        patched = self._refresh(jobs, keys)
+        self._refresh(jobs, keys)
         memo = self._memo
         next_memo: dict[tuple, tuple[tuple[bool, ...], int]] = {}
         pairings = 0
@@ -593,7 +586,7 @@ class FusedWorklist:
             memo_key = (keys[j], needed)
             done = memo.get(memo_key)
             if done is None:
-                done = self._outcome_row(j, job, needed, patched.get(j))
+                done = self._outcome_row(j, job, needed)
             next_memo[memo_key] = done
             pairings += done[1]
             rows.append(list(done[0]))
@@ -601,11 +594,10 @@ class FusedWorklist:
         return rows, pairings
 
     def _outcome_row(
-        self, j: int, job: tuple, needed: tuple, own: Optional[list[bool]]
+        self, j: int, job: tuple, needed: tuple
     ) -> tuple[tuple[bool, ...], int]:
         """Job ``j``'s outcome row and pairing charge: the scalar control flow
-        over pre-filter outcomes -- ``own`` for a job patched this pass, else
-        the slots' residue vectors."""
+        over the slots' pre-filter outcomes."""
         batches = self._program.batches
         generalizers = self._program.generalizers
         vectors_get = self._vectors.get
@@ -626,14 +618,10 @@ class FusedWorklist:
                         outcome = False
                     else:
                         charge += cost
-                        if own is not None:
-                            survived = own[self._slot_index[slot]]
-                        else:
-                            vector = vectors_get(slot)
-                            if vector is None:
-                                vector = self._residue_vector(slot)
-                            survived = vector[j]
-                        outcome = survived and self._confirm(slot, job)
+                        vector = vectors_get(slot)
+                        if vector is None:
+                            vector = self._residue_vector(slot)
+                        outcome = vector[j] and self._confirm(slot, job)
                         if outcome and generalizers is not None and generalizers[slot]:
                             _backfill_true(generalizers, slot, shared)
                     shared[slot] = outcome
