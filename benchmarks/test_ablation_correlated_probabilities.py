@@ -10,7 +10,7 @@ standard radius sweep on three likelihood sources over the same grid:
 * the stationary distribution of an attractiveness-biased random walk
   (:class:`GridMarkovModel`).
 
-The measured effect (recorded in EXPERIMENTS.md): the Huffman advantage tracks
+The measured effect (recorded in DESIGN.md): the Huffman advantage tracks
 the *skew* of the likelihood distribution, not its spatial correlation.  The
 i.i.d. sigmoid field is extremely skewed (most cells essentially never alert)
 and shows the paper's large gains; the smoother fields have many cells of

@@ -1,6 +1,6 @@
 """Ablation: probability-triggered zones vs purely geometric circular zones.
 
-DESIGN.md and EXPERIMENTS.md document one workload-model interpretation made
+DESIGN.md documents one workload-model interpretation made
 by this reproduction: per the paper's definition of ``p(v_i)`` as "the
 likelihood of cell v_i becoming alerted", the evaluation workload alerts the
 cells inside an event's radius *according to their own likelihood*

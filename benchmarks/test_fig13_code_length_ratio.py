@@ -31,7 +31,7 @@ def test_fig13_code_length_ratio(benchmark):
     # Shape checks: the ratio is a proper fraction everywhere, and both the
     # average and the maximum code length grow with the cell count (deeper
     # trees at higher granularity, the effect the paper links to Fig. 12).
-    # Note (documented in EXPERIMENTS.md): in this reproduction the maximum
+    # Note (documented in DESIGN.md): in this reproduction the maximum
     # length is driven by the sigmoid's minimum likelihood, which does not
     # change with n, so the avg/max *ratio* trends upward rather than
     # downward; the underlying "deeper trees at higher granularity" effect is

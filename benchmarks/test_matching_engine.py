@@ -27,9 +27,6 @@ MAX_USERS = 40
 USER_GRID = (10, 40)
 TIMING_ROUNDS = 5
 
-#: Cores this process may actually use -- the ceiling for process scaling.
-AVAILABLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-
 
 def _build_world(seed=4021, users=MAX_USERS):
     scenario = make_synthetic_scenario(
@@ -219,7 +216,7 @@ def test_crypto_core_fused_tier():
     warm fused pass after 1% of the users re-encrypted -- the standing-tick
     case, where only movers cost evaluation work.  The acceptance floor
     is ``FUSED_TIER_FLOOR`` at the 1k tier on the reference backend; the
-    calibrated fused latency feeds the CI perf gate via the ``crypto_core``
+    calibrated mover latency feeds the CI perf gate via the ``crypto_core``
     section of BENCH_provider.json.
     """
     tiers = [FUSED_TIER_USERS]
@@ -339,102 +336,48 @@ def _build_work_factor_world(backend, work_factor=40, users=40, seed=4099):
     return hve, candidates, batches
 
 
-def test_backend_executor_scaling():
-    """Throughput grid across crypto backends and executors (work factor on).
+def test_backend_scaling():
+    """Throughput across crypto backends (work factor on).
 
-    Acceptance invariants (checked on every host): identical notifications
-    and bit-exact pairing totals across all backends, executors and worker
-    counts.  Wall-clock acceptance (process executor with 4 workers >= 2x the
-    single-worker planned path, pure-Python backend) requires real cores --
-    it is asserted when >= 4 are available and recorded otherwise, since a
-    process pool cannot beat a single worker on hardware that cannot run the
-    workers concurrently.
+    Acceptance invariant (checked on every host): identical notifications and
+    bit-exact pairing totals across all backends.  Wall-clock numbers go on
+    record.
     """
-    configurations = [
-        ("single", MatchingOptions(strategy="planned")),
-        ("thread-4", MatchingOptions(strategy="planned", workers=4, executor="thread")),
-        ("process-4", MatchingOptions(strategy="planned", workers=4, executor="process")),
-    ]
     rows = []
-    wall = {}
     baseline = None  # (notification keys, pairings) of the first run, for parity
     for backend in available_backends():
         hve, candidates, batches = _build_work_factor_world(backend)
         # Warm the fixed-base work table before any timing; its build cost is
-        # reported as its own column instead of polluting the first flavour.
+        # reported as its own column instead of polluting the first pass.
         precomp_build_ms = hve.group.warm_precomputation() * 1e3
-        for label, options in configurations:
-            engine = MatchingEngine(hve, options)
-            counter = hve.group.counter
-            before = counter.total
-            notifications = engine.match(batches, candidates)
-            pairings = counter.total - before
-            best = float("inf")
-            for _ in range(2):
-                start = time.perf_counter()
-                engine.match(batches, candidates)
-                best = min(best, time.perf_counter() - start)
-            outcome = (tuple((n.user_id, n.alert_id) for n in notifications), pairings)
-            if baseline is None:
-                baseline = outcome
-            assert outcome == baseline  # parity across backends AND executors
-            wall[(backend, label)] = best
-            rows.append(
-                {
-                    "backend": backend,
-                    "executor": label,
-                    "users": len(candidates),
-                    "tokens": sum(len(b.tokens) for b in batches),
-                    "wall_ms": round(best * 1e3, 1),
-                    "speedup_vs_single": round(wall[(backend, "single")] / best, 2),
-                    "precomp_build_ms": round(precomp_build_ms, 2),
-                    "pairings": pairings,
-                    "notified": len(notifications),
-                    "cores": AVAILABLE_CORES,
-                }
-            )
+        engine = MatchingEngine(hve, MatchingOptions(strategy="planned"))
+        counter = hve.group.counter
+        before = counter.total
+        notifications = engine.match(batches, candidates)
+        pairings = counter.total - before
+        best = float("inf")
+        for _ in range(2):
+            start = time.perf_counter()
+            engine.match(batches, candidates)
+            best = min(best, time.perf_counter() - start)
+        outcome = (tuple((n.user_id, n.alert_id) for n in notifications), pairings)
+        if baseline is None:
+            baseline = outcome
+        assert outcome == baseline  # parity across backends
+        rows.append(
+            {
+                "backend": backend,
+                "users": len(candidates),
+                "tokens": sum(len(b.tokens) for b in batches),
+                "wall_ms": round(best * 1e3, 1),
+                "precomp_build_ms": round(precomp_build_ms, 2),
+                "pairings": pairings,
+                "notified": len(notifications),
+            }
+        )
 
     publish_table(
         "matching_engine_scaling",
-        f"Backend x executor scaling, work factor on (best of 2, {AVAILABLE_CORES} cores available)",
-        rows,
-    )
-
-    speedup = wall[("reference", "single")] / wall[("reference", "process-4")]
-    if AVAILABLE_CORES >= 4:
-        # Re-measure up to three times before failing: shared CI runners
-        # expose exactly 4 vCPUs with noisy neighbors, and a CPU-steal spike
-        # during one process-pool run must not flake the build.
-        for _ in range(3):
-            if speedup >= 2.0:
-                break
-            hve, candidates, batches = _build_work_factor_world("reference")
-            single = MatchingEngine(hve, MatchingOptions(strategy="planned"))
-            process = MatchingEngine(
-                hve, MatchingOptions(strategy="planned", workers=4, executor="process")
-            )
-            start = time.perf_counter()
-            single.match(batches, candidates)
-            single_secs = time.perf_counter() - start
-            start = time.perf_counter()
-            process.match(batches, candidates)
-            speedup = max(speedup, single_secs / (time.perf_counter() - start))
-        assert speedup >= 2.0
-
-
-def test_worker_scaling_smoke():
-    """Multi-worker matching produces identical output; timings go on record."""
-    scenario, encoding, hve, keys, candidates = _build_world(seed=4077)
-    batches = _workloads(scenario, encoding, hve, keys)["compact-zone"]
-    serial = MatchingEngine(hve, MatchingOptions(strategy="planned")).match(batches, candidates)
-    rows = []
-    for workers in (1, 2, 4):
-        options = MatchingOptions(strategy="planned", workers=workers, chunk_size=8)
-        notifications, pairings, secs = _time_strategy(hve, options, batches, candidates)
-        assert notifications == serial
-        rows.append({"workers": workers, "wall_ms": round(secs * 1e3, 3), "pairings": pairings})
-    publish_table(
-        "matching_engine_workers",
-        "Planned matching with worker threads (GIL-bound backend: parity check + overhead record)",
+        "Backend scaling, work factor on (best of 2)",
         rows,
     )

@@ -23,7 +23,7 @@ The library is organised bottom-up:
   drivers.
 * :mod:`repro.service` -- :class:`~repro.service.service.AlertService`, the
   session-oriented public API: one long-lived session per deployment, typed
-  requests/responses, a persistent executor pool and snapshot/restore.
+  requests/responses, warm token plans and snapshot/restore.
 * :mod:`repro.core` -- :class:`~repro.core.pipeline.SecureAlertPipeline`, the
   legacy call-oriented API (now a thin adapter over the service).
 """

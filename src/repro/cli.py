@@ -37,7 +37,7 @@ from repro.analysis.experiments import (
 )
 from repro.crypto.backends import available_backends, backend_names, default_backend_name
 from repro.datasets.synthetic import make_synthetic_scenario
-from repro.protocol.matching import EXECUTORS, MATCHING_STRATEGIES
+from repro.protocol.matching import MATCHING_STRATEGIES
 from repro.protocol.simulation import AlertServiceSimulation, SimulationConfig
 from repro.service import AlertService, Move, NetOptions, PublishZone, ServiceConfig, Subscribe
 
@@ -56,6 +56,18 @@ def _format_table(rows: Sequence[Mapping[str, object]]) -> str:
     return "\n".join(lines)
 
 
+class _ConfigError(Exception):
+    """A flag value the config dataclasses rejected (reported as a usage error)."""
+
+
+def _checked(build):
+    """Run a config constructor, turning its ``ValueError`` into a usage error."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from None
+
+
 # ----------------------------------------------------------------------
 # Sub-command implementations
 # ----------------------------------------------------------------------
@@ -67,7 +79,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         f"{name}{'' if name in available else ' (unavailable)'}" for name in backend_names()
     )
     print(f"Crypto backends: {backends}; default: {default_backend_name()}")
-    print("See DESIGN.md for the system inventory and EXPERIMENTS.md for results.")
+    print("See README.md for usage and DESIGN.md for where this reproduction departs from the paper.")
     return 0
 
 
@@ -147,26 +159,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _run_session_experiment(args: argparse.Namespace) -> int:
     """A warm AlertService session: standing zones re-evaluated over many ticks.
 
-    Demonstrates (and measures) the session economics: the token plan is built
-    once, the executor pool is primed once, and every later tick reuses both.
+    Demonstrates (and measures) the session economics: the token plan and its
+    packed worklist are built once, and every later tick reuses both.
     """
     scenario = make_synthetic_scenario(
         rows=args.rows, cols=args.cols, sigmoid_a=args.sigmoid_a, sigmoid_b=args.sigmoid_b,
         seed=args.seed, extent_meters=args.extent_meters,
     )
-    config = (
-        ServiceConfig.builder()
-        .with_crypto(prime_bits=32, seed=args.seed)
-        .with_executor(
-            executor=args.executor,
-            workers=args.workers,
-            affinity=args.affinity,
-            ack_deltas=args.ack_deltas,
-        )
-        .with_store(shards=args.shards)
-        .with_matching(incremental=args.shards > 0)
-        .build()
-    )
+    config = ServiceConfig(prime_bits=32, seed=args.seed)
     rng = random.Random(args.seed)
     rows = []
     with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
@@ -189,9 +189,6 @@ def _run_session_experiment(args: argparse.Namespace) -> int:
                     "notifications": len(report.notifications),
                     "pairings": report.pairings_spent,
                     "plan_reused": report.plan_reused,
-                    "pool_reprimed": report.pool_reprimed,
-                    "zones_skipped": report.zones_skipped,
-                    "bytes_shipped": report.bytes_shipped,
                     "millis": round((time.perf_counter() - started) * 1000, 1),
                 }
             )
@@ -199,8 +196,7 @@ def _run_session_experiment(args: argparse.Namespace) -> int:
     print(_format_table(rows))
     print(
         f"session: {stats.requests_handled} requests, {stats.pairings_spent} pairings, "
-        f"plan builds/reuses: {stats.plan_builds}/{stats.plan_reuses}, "
-        f"pool starts/re-primes: {stats.process_pool_starts}/{stats.pool_reprimes}"
+        f"plan builds/reuses: {stats.plan_builds}/{stats.plan_reuses}"
     )
     return 0
 
@@ -209,13 +205,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     """Run the seeded chaos soak and report the parity verdict.
 
     Exit code 0 means the faulted run matched the fault-free run bit-exactly
-    with no torn snapshot and no leaked worker process -- the same bar the
-    CI chaos job enforces.  ``--net`` swaps in the network-tier soak: the
-    scripted session over TCP under conn_drop/frame_corrupt/slow_client
-    faults must notify exactly the same users as the in-process run.
+    with no torn snapshot -- the same bar the CI chaos job enforces.
+    ``--net`` swaps in the network-tier soak: the scripted session over TCP
+    under conn_drop/frame_corrupt/slow_client faults must notify exactly the
+    same users as the in-process run.
     """
-    from repro.service.faults import DEFAULT_CHAOS_SPEC, run_chaos_soak
+    from repro.service.faults import DEFAULT_CHAOS_SPEC, FaultPlan, run_chaos_soak
 
+    if args.faults is not None:
+        _checked(lambda: FaultPlan.parse(args.faults))
     if args.net and args.crash_restart:
         from repro.net import DEFAULT_NET_CHAOS_SPEC, run_crash_restart_soak
 
@@ -248,14 +246,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         seed=args.seed,
         faults=args.faults if args.faults is not None else DEFAULT_CHAOS_SPEC,
         users=args.users,
-        shards=args.shards,
-        workers=args.workers,
-        task_deadline=args.task_deadline,
-        hang_seconds=args.hang_seconds,
     )
     print(outcome.summary())
-    ok = outcome.matched and outcome.snapshots_intact and outcome.leaked_processes == 0
-    return 0 if ok else 1
+    return 0 if outcome.matched and outcome.snapshots_intact else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -263,26 +256,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rows=args.rows, cols=args.cols, sigmoid_a=args.sigmoid_a, sigmoid_b=args.sigmoid_b,
         seed=args.seed, extent_meters=args.extent_meters,
     )
-    config = SimulationConfig(
-        num_users=args.users,
-        alert_rate_per_step=args.alert_rate,
-        alert_radius=args.radius,
-        seed=args.seed,
-        prime_bits=args.prime_bits,
-        matching_strategy=args.matching_strategy,
-        workers=args.workers,
-        executor=args.executor,
-        crypto_backend=args.backend,
-        shards=args.shards,
+    config = _checked(
+        lambda: SimulationConfig(
+            num_users=args.users,
+            alert_rate_per_step=args.alert_rate,
+            alert_radius=args.radius,
+            seed=args.seed,
+            prime_bits=args.prime_bits,
+            matching_strategy=args.matching_strategy,
+            crypto_backend=args.backend,
+        )
     )
     # The simulation rides on an AlertService session; translate the one
     # config (so every shared knob is plumbed exactly once) and apply the
     # session-only extras on top.
-    service_config = dataclasses.replace(
-        ServiceConfig.from_simulation(config),
-        incremental=args.incremental,
-        affinity=args.affinity,
-        ack_deltas=args.ack_deltas,
+    service_config = _checked(
+        lambda: dataclasses.replace(
+            ServiceConfig.from_simulation(config), incremental=args.incremental
+        )
     )
     with AlertServiceSimulation(
         scenario.grid, scenario.probabilities, config=config, service_config=service_config
@@ -298,27 +289,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _serve_config(args: argparse.Namespace) -> ServiceConfig:
     """The ServiceConfig both ``serve`` and a spawned loadgen server use."""
-    return ServiceConfig(
-        prime_bits=args.prime_bits,
-        seed=args.service_seed,
-        journal_path=args.journal,
-        workers=args.workers,
-        executor=args.executor,
-        shards=args.shards,
-        autoscale=args.autoscale,
-        autoscale_min_lanes=args.autoscale_min_lanes,
-        autoscale_max_lanes=args.autoscale_max_lanes,
-        faults=args.faults,
-        fault_seed=args.fault_seed,
-        net=NetOptions(
-            host=args.host,
-            port=args.port,
-            max_inflight=args.max_inflight,
-            max_inflight_per_conn=args.per_conn_inflight,
-            batch_max=args.batch_max,
-            batch_window_ms=args.batch_window_ms,
-            pipelined=not args.serial,
-        ),
+    return _checked(
+        lambda: ServiceConfig(
+            prime_bits=args.prime_bits,
+            seed=args.service_seed,
+            journal_path=args.journal,
+            faults=args.faults,
+            fault_seed=args.fault_seed,
+            net=NetOptions(
+                host=args.host,
+                port=args.port,
+                max_inflight=args.max_inflight,
+                max_inflight_per_conn=args.per_conn_inflight,
+                batch_max=args.batch_max,
+                batch_window_ms=args.batch_window_ms,
+                pipelined=not args.serial,
+            ),
+        )
     )
 
 
@@ -339,11 +326,6 @@ def _serve_child_argv(args: argparse.Namespace, port: int) -> list:
         "--max-inflight", str(args.max_inflight),
         "--batch-max", str(args.batch_max),
         "--batch-window-ms", str(args.batch_window_ms),
-        "--workers", str(args.workers),
-        "--executor", args.executor,
-        "--shards", str(args.shards),
-        "--autoscale-min-lanes", str(args.autoscale_min_lanes),
-        "--autoscale-max-lanes", str(args.autoscale_max_lanes),
     ]
     if args.journal is not None:
         argv += ["--journal", args.journal]
@@ -353,8 +335,6 @@ def _serve_child_argv(args: argparse.Namespace, port: int) -> list:
         argv.append("--serial")
     if args.per_conn_inflight is not None:
         argv += ["--per-conn-inflight", str(args.per_conn_inflight)]
-    if args.autoscale:
-        argv.append("--autoscale")
     if args.faults is not None:
         argv += ["--faults", args.faults, "--fault-seed", str(args.fault_seed)]
     return argv
@@ -451,6 +431,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.net import AlertServiceServer
 
+    # Validate before supervising, so a bad flag fails once instead of
+    # crash-looping the child.
+    config = _serve_config(args)
     if args.supervise:
         return _run_supervisor(args)
 
@@ -458,7 +441,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rows=args.rows, cols=args.cols, sigmoid_a=args.sigmoid_a, sigmoid_b=args.sigmoid_b,
         seed=args.seed, extent_meters=args.extent_meters,
     )
-    config = _serve_config(args)
     with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
         import pathlib
 
@@ -506,13 +488,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"encode={stats.stage_encode_ms:.1f}ms",
                 flush=True,
             )
-            session = service.session_stats()
-            if session.lane_resizes:
-                print(
-                    f"autoscale: {session.lane_resizes} resizes "
-                    f"(+{session.lanes_added}/-{session.lanes_removed} lanes)",
-                    flush=True,
-                )
 
         asyncio.run(run())
     return 0
@@ -581,8 +556,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             process.send_signal(_signal.SIGINT)
             try:
                 process.wait(timeout=30)
-                # Relay the server's drain report (pipeline stage timings,
-                # group-commit and autoscale counters) into our output.
+                # Relay the server's drain report (pipeline stage timings and
+                # group-commit counters) into our output.
                 for line in process.stdout.read().splitlines():
                     if line and not line.startswith("draining"):
                         print(f"server: {line}")
@@ -640,68 +615,24 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--session-users", type=int, default=12, help="subscribers in the session experiment")
     experiment.add_argument("--session-zones", type=int, default=3, help="standing zones in the session experiment")
     experiment.add_argument("--session-steps", type=int, default=8, help="warm ticks in the session experiment")
-    experiment.add_argument(
-        "--workers", type=int, default=1, help="matching workers for the session experiment"
-    )
-    experiment.add_argument(
-        "--executor",
-        choices=sorted(EXECUTORS),
-        default="thread",
-        help="pool flavour for the session experiment when --workers > 1",
-    )
-    experiment.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shard the ciphertext store into N versioned shards (0 keeps the unsharded store); "
-        "enables incremental zone targeting for the session experiment",
-    )
-    experiment.add_argument(
-        "--affinity",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="pin shards to process workers via rendezvous hashing with acked-version "
-        "deltas and in-place pool re-priming (--no-affinity restores the PR 4 pool.map path)",
-    )
-    experiment.add_argument(
-        "--ack-deltas",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="ship shard deltas against each worker's acked version (--no-ack-deltas ships "
-        "floor-based deltas while keeping affinity routing)",
-    )
     experiment.set_defaults(handler=_cmd_experiment)
 
     chaos = subparsers.add_parser(
         "chaos",
         help="run a seeded fault-injection soak and verify bit-exact parity",
         description="Replay one scripted warm session twice -- fault-free and under a seeded "
-        "FaultPlan -- and verify notifications and pairing totals are bit-exact, snapshots "
-        "are never torn, and no worker process leaks.",
+        "FaultPlan -- and verify notifications and pairing totals are bit-exact and "
+        "snapshots are never torn.",
     )
     chaos.add_argument("--steps", type=int, default=50, help="scripted session steps (default 50)")
     chaos.add_argument("--seed", type=int, default=7, help="seed for the script and the fault plan")
     chaos.add_argument(
         "--faults",
         default=None,
-        help='fault spec, e.g. "kill=0.05,hang=0.02,drop_ack=0.1,torn_snapshot=1" '
-        "(default: the built-in chaos mix exercising every fault site)",
+        help='fault spec, e.g. "torn_snapshot=1,fsync_delay=0.1" '
+        "(default: the built-in chaos mix for the chosen soak)",
     )
     chaos.add_argument("--users", type=int, default=10, help="subscribed users (default 10)")
-    chaos.add_argument("--shards", type=int, default=6, help="ciphertext store shards (default 6)")
-    chaos.add_argument("--workers", type=int, default=2, help="process workers (default 2)")
-    chaos.add_argument(
-        "--task-deadline",
-        type=float,
-        default=1.5,
-        help="per-task deadline in seconds enforced on every lane wait (default 1.5)",
-    )
-    chaos.add_argument(
-        "--hang-seconds",
-        type=float,
-        default=12.0,
-        help="how long an injected hang sleeps; must exceed the deadline to matter (default 12)",
-    )
     chaos.add_argument(
         "--net",
         action="store_true",
@@ -772,35 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-connection inflight quota: a flooding client hits its own BUSY "
         "ceiling before it can starve other connections (default: no per-connection cap)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="matching workers (pair with --executor process --shards N for lane dispatch)",
-    )
-    serve.add_argument(
-        "--executor",
-        choices=sorted(EXECUTORS),
-        default="thread",
-        help="matching executor flavour",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="ciphertext store shards (0 = unsharded); required for affinity lanes",
-    )
-    serve.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="grow/shrink affinity worker lanes with load (process executor + shards only)",
-    )
-    serve.add_argument(
-        "--autoscale-min-lanes", type=int, default=1, help="autoscale lower bound on lanes"
-    )
-    serve.add_argument(
-        "--autoscale-max-lanes", type=int, default=8, help="autoscale upper bound on lanes"
     )
     serve.add_argument(
         "--supervise",
@@ -884,18 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="service-provider matching path: 'planned' (token plan + fused arithmetic) or 'naive' (element-wise parity path)",
     )
     simulate.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="workers for chunked matching over the ciphertext store (1 disables the pool)",
-    )
-    simulate.add_argument(
-        "--executor",
-        choices=sorted(EXECUTORS),
-        default="thread",
-        help="pool flavour when --workers > 1: 'thread' (in-process, GIL-bound) or 'process' (multi-core)",
-    )
-    simulate.add_argument(
         "--backend",
         choices=sorted(backend_names()),
         default=None,
@@ -905,27 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--incremental",
         action="store_true",
         help="remember per-(user, alert) outcomes and re-evaluate only changed ciphertexts",
-    )
-    simulate.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shard the ciphertext store into N versioned shards kept resident in process "
-        "workers (0 keeps the unsharded store)",
-    )
-    simulate.add_argument(
-        "--affinity",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="pin shards to process workers via rendezvous hashing with acked-version "
-        "deltas and in-place pool re-priming (--no-affinity restores the PR 4 pool.map path)",
-    )
-    simulate.add_argument(
-        "--ack-deltas",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="ship shard deltas against each worker's acked version (--no-ack-deltas ships "
-        "floor-based deltas while keeping affinity routing)",
     )
     simulate.set_defaults(handler=_cmd_simulate)
 
@@ -939,7 +808,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 1
-    return int(args.handler(args))
+    try:
+        return int(args.handler(args))
+    except _ConfigError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

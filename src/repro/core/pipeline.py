@@ -19,7 +19,7 @@ Since the service redesign the pipeline is a thin adapter over
 :class:`~repro.service.service.AlertService`: every entry point keeps its
 signature and its exact behaviour (parity-tested down to pairing counts), but
 the work is done by a session underneath.  New code -- anything long-lived,
-multi-zone or executor-tuned -- should talk to the session API directly; the
+multi-zone or tuned -- should talk to the session API directly; the
 :attr:`service` property exposes it for migration.
 """
 
@@ -46,15 +46,7 @@ class PipelineConfig:
 
     ``matching_strategy`` selects the service provider's evaluation path
     (``"planned"`` is the optimized default; ``"naive"`` is the element-wise
-    parity path); ``workers`` enables chunked multi-worker matching over the
-    ciphertext store (off at the default of 1) and ``executor`` picks the
-    pool flavour for it (``"thread"`` shares the group in-process,
-    ``"process"`` ships work to worker processes for real multi-core
-    scaling).  ``shards`` > 0 deploys the sharded ciphertext store so the
-    process executor ships each shard to workers once instead of re-wiring
-    every ciphertext per call (see
-    :class:`~repro.protocol.shards.ShardedCiphertextStore`).
-    ``crypto_backend`` forces a crypto arithmetic backend by name
+    parity path).  ``crypto_backend`` forces a crypto arithmetic backend by name
     (``None`` auto-selects: ``gmpy2`` when installed, the pure-Python
     ``reference`` backend otherwise).
 
@@ -67,10 +59,7 @@ class PipelineConfig:
     prime_bits: int = 64
     seed: Optional[int] = None
     matching_strategy: str = "planned"
-    workers: int = 1
-    executor: str = "thread"
     crypto_backend: Optional[str] = None
-    shards: int = 0
 
 
 @dataclass(frozen=True)
@@ -198,7 +187,7 @@ class SecureAlertPipeline:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the session (its persistent executor pool, if any)."""
+        """End the underlying session (closes its journal, if any)."""
         self._service.close()
 
     def __enter__(self) -> "SecureAlertPipeline":

@@ -20,14 +20,6 @@ conversion, ``powmod``) plugs in without touching the group, HVE or protocol
 layers -- the vectorized contract (``powmod_base_fixed``, ``multi_powmod``,
 ``burn_powmods``, ``fused_eval``) has generic implementations a backend only
 overrides when it can do better natively.
-
-One caveat for custom backends: the process-parallel matching executor
-resolves backends *by registry name inside worker processes*.  Workers that
-start via ``fork`` inherit the parent's registry, but ``spawn``/``forkserver``
-workers re-import this package fresh -- a custom backend must therefore be
-registered as an import side effect of an importable module (the way the
-built-ins register themselves below) to work with ``executor="process"`` on
-those start methods.
 """
 
 from __future__ import annotations

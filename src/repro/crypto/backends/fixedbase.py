@@ -18,19 +18,14 @@ overhead dominates, and GMP-backed ``powmod`` is so fast that a Python table
 walk never pays off.
 
 Tables are built once per (group, base) and cached on the
-:class:`~repro.crypto.group.BilinearGroup`; the wire form lets a parent
-process ship its table to matching workers so lanes inherit the
-precomputation instead of rebuilding it.
+:class:`~repro.crypto.group.BilinearGroup`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 __all__ = ["FixedBaseTable"]
-
-#: Wire-form tag, so a corrupted/foreign payload fails loudly.
-_WIRE_KIND = "fixed_base_table_v1"
 
 
 class FixedBaseTable:
@@ -47,7 +42,7 @@ class FixedBaseTable:
     produced, so the walk stays inside backend-native arithmetic.
     """
 
-    __slots__ = ("base", "modulus", "window", "max_bits", "_rows", "_mask", "_overflow_base", "_wire")
+    __slots__ = ("base", "modulus", "window", "max_bits", "_rows", "_mask", "_overflow_base")
 
     def __init__(
         self,
@@ -55,8 +50,6 @@ class FixedBaseTable:
         modulus: Any,
         max_bits: int,
         window: Optional[int] = None,
-        _rows: Optional[list] = None,
-        _overflow_base: Any = None,
     ):
         if max_bits < 1:
             raise ValueError("max_bits must be positive")
@@ -69,12 +62,7 @@ class FixedBaseTable:
         self.window = window
         self.max_bits = max_bits
         self._mask = (1 << window) - 1
-        self._wire: Optional[tuple] = None
-        if _rows is not None:
-            self._rows = _rows
-            self._overflow_base = _overflow_base
-        else:
-            self._rows, self._overflow_base = self._build(base, modulus, max_bits, window)
+        self._rows, self._overflow_base = self._build(base, modulus, max_bits, window)
 
     @staticmethod
     def default_window(max_bits: int) -> int:
@@ -134,43 +122,6 @@ class FixedBaseTable:
                 # max_bits being a true bound.
                 acc = acc * pow(self._overflow_base, e, modulus) % modulus
         return acc % modulus
-
-    # ------------------------------------------------------------------
-    # Wire form (ships with the group so worker lanes inherit the table)
-    # ------------------------------------------------------------------
-    def to_wire(self) -> tuple:
-        """Plain-int picklable form; computed once and cached (immutable table)."""
-        if self._wire is None:
-            self._wire = (
-                _WIRE_KIND,
-                self.window,
-                self.max_bits,
-                int(self.base),
-                int(self.modulus),
-                int(self._overflow_base),
-                tuple(tuple(int(v) for v in row) for row in self._rows),
-            )
-        return self._wire
-
-    @classmethod
-    def from_wire(cls, wire: tuple, make_int: Callable[[int], Any] = int) -> "FixedBaseTable":
-        """Rebuild a table from :meth:`to_wire` output on the target backend.
-
-        ``make_int`` converts every entry into the receiving backend's native
-        number type, so an inherited table walks in native arithmetic exactly
-        like a locally built one.
-        """
-        if not isinstance(wire, tuple) or len(wire) != 7 or wire[0] != _WIRE_KIND:
-            raise ValueError("payload is not a serialized fixed-base table")
-        _, window, max_bits, base, modulus, overflow_base, rows = wire
-        return cls(
-            make_int(base),
-            make_int(modulus),
-            max_bits,
-            window=window,
-            _rows=[[make_int(v) for v in row] for row in rows],
-            _overflow_base=make_int(overflow_base),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -47,8 +47,8 @@ class PairingCounter:
 
     total: int = 0
     _checkpoints: dict[str, int] = field(default_factory=dict)
-    # Matching may fan ciphertext chunks out to worker threads that all share
-    # one group (and therefore one counter); the lock keeps ``total`` exact.
+    # The network server runs the session on its own worker thread while
+    # other threads may read the counter; the lock keeps ``total`` exact.
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def record_pairing(self, count: int = 1) -> None:

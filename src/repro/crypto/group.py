@@ -251,9 +251,7 @@ class BilinearGroup:
     ) -> "BilinearGroup":
         """Rebuild a group from known prime factors (no prime generation).
 
-        This is how a group crosses a process boundary (see
-        :func:`repro.crypto.serialization.group_to_wire`) and how tests pin
-        two backends to numerically identical groups.  The caller is trusted
+        This is how tests pin two backends to numerically identical groups.  The caller is trusted
         to supply distinct primes -- typically ones a previous
         :class:`BilinearGroup` generated.
         """
@@ -601,31 +599,6 @@ class BilinearGroup:
             elif not self._work_table_decided:
                 self._ensure_work_table()
         return perf_counter() - start
-
-    def precomputation_to_wire(self) -> Optional[tuple]:
-        """Wire form of the work table (``None`` when no table is active).
-
-        Called by :func:`repro.crypto.serialization.group_to_wire` after
-        warming, so worker lanes inherit the parent's precomputation instead
-        of rebuilding it per process.
-        """
-        if self._work_table is None:
-            return None
-        return self._work_table.to_wire()
-
-    def install_precomputation(self, wire: Optional[tuple]) -> None:
-        """Adopt a table shipped by :meth:`precomputation_to_wire`.
-
-        Ignored when there is nothing to install, when this backend never
-        profits from tables, or when a table is already live (tables for one
-        (base, modulus) pair are interchangeable, so the resident one wins).
-        """
-        if wire is None or self._work_table is not None:
-            return
-        if self.backend.fixed_base_min_bits is None:
-            return
-        self._work_table = FixedBaseTable.from_wire(wire, self.backend.make_int)
-        self._work_table_decided = True
 
     # ------------------------------------------------------------------
     # Fused evaluation (backend-executed worklists)

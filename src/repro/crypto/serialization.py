@@ -13,15 +13,6 @@ them (nested dictionaries of hex-encoded big integers that round-trip through
 JSON), plus helpers to measure payload sizes -- useful for the communication
 overhead analysis accompanying Section 5.
 
-It also provides *compact wire forms*: plain tuples of Python ``int`` that
-pickle cheaply and rebuild quickly.  These are what the process-parallel
-matching engine ships across worker boundaries -- the JSON dictionaries are
-for inter-party transport and persistence, the tuples for intra-provider
-fan-out.  ``group_to_wire`` / ``wire_to_group`` carry the group constants
-themselves (including the prime factorisation): in the ideal-group model the
-provider-side process already holds the factored group object, so shipping it
-to the provider's own worker processes leaks nothing new.
-
 The representation encodes group elements by their discrete logarithm, which
 is an artefact of the ideal-group-model backend (see ``DESIGN.md``,
 substitution 1).  With a real pairing backend, the same structure would carry
@@ -49,17 +40,6 @@ __all__ = [
     "to_json",
     "from_json",
     "payload_size_bytes",
-    "wire_size_bytes",
-    "group_to_wire",
-    "wire_to_group",
-    "element_to_wire",
-    "wire_to_element",
-    "gt_element_to_wire",
-    "wire_to_gt_element",
-    "ciphertext_to_wire",
-    "wire_to_ciphertext",
-    "token_to_wire",
-    "wire_to_token",
 ]
 
 
@@ -210,150 +190,8 @@ def deserialize_token(group: BilinearGroup, payload: dict[str, Any]) -> HVEToken
 
 
 # ----------------------------------------------------------------------
-# Compact picklable wire forms (process-boundary transport)
-# ----------------------------------------------------------------------
-# The JSON payloads above model inter-party messages; the tuple forms below
-# exist so the provider can fan matching work out to worker *processes*.
-# Everything is normalised to plain ``int``/``str``/``tuple``, so the forms
-# pickle identically whatever arithmetic backend produced them.
-
-def group_to_wire(group: BilinearGroup) -> tuple[int, int, int, str, Any]:
-    """Compact picklable form of a group: ``(p, q, work_factor, backend, precomp)``.
-
-    Carries the prime factorisation, so this must only ever travel between a
-    process and its own workers (the in-process group object exposes the same
-    factors).  The receiving side rebuilds a numerically identical group with
-    :func:`wire_to_group`; backends resolve by registry name, so the worker
-    runs the same arithmetic the parent selected.
-
-    The fifth slot ships the group's fixed-base precomputation table (or
-    ``None``): serialization warms the table so every worker inherits it
-    instead of paying the build cost per process.  The first four slots alone
-    identify the group -- consumers that key caches on group identity compare
-    ``wire[:4]`` so a table arriving later does not read as a different group.
-    """
-    precomp = None
-    if group.pairing_work_factor:
-        group.warm_precomputation()
-        precomp = group.precomputation_to_wire()
-    return (
-        int(group.p),
-        int(group.q),
-        group.pairing_work_factor,
-        group.backend_name,
-        precomp,
-    )
-
-
-def wire_to_group(wire: tuple) -> BilinearGroup:
-    """Rebuild a :class:`BilinearGroup` from :func:`group_to_wire` output.
-
-    Accepts both the current 5-tuple and the legacy 4-tuple (no precomp slot).
-    """
-    p, q, work_factor, backend = wire[:4]
-    group = BilinearGroup.from_primes(p, q, pairing_work_factor=work_factor, backend=backend)
-    if len(wire) > 4 and wire[4] is not None:
-        group.install_precomputation(wire[4])
-    return group
-
-
-def element_to_wire(element: GroupElement) -> int:
-    """Compact form of a ``G`` element (its discrete log as a plain int)."""
-    return int(element._discrete_log())
-
-
-def wire_to_element(group: BilinearGroup, wire: int) -> GroupElement:
-    """Rebuild a ``G`` element bound to ``group``."""
-    return group.element_from_exponent(wire)
-
-
-def gt_element_to_wire(element: GTElement) -> int:
-    """Compact form of a ``GT`` element (its discrete log as a plain int)."""
-    return int(element._discrete_log())
-
-
-def wire_to_gt_element(group: BilinearGroup, wire: int) -> GTElement:
-    """Rebuild a ``GT`` element bound to ``group``."""
-    return group.gt_element_from_exponent(wire)
-
-
-def ciphertext_to_wire(
-    ciphertext: HVECiphertext,
-) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """Compact picklable form of a ciphertext: ``(c', c0, c1, c2)``.
-
-    The width is implied by ``len(c1)``, so it is not repeated on the wire.
-    """
-    return (
-        gt_element_to_wire(ciphertext.c_prime),
-        element_to_wire(ciphertext.c0),
-        tuple(element_to_wire(e) for e in ciphertext.c1),
-        tuple(element_to_wire(e) for e in ciphertext.c2),
-    )
-
-
-def wire_to_ciphertext(
-    group: BilinearGroup, wire: tuple[int, int, tuple[int, ...], tuple[int, ...]]
-) -> HVECiphertext:
-    """Rebuild a ciphertext from :func:`ciphertext_to_wire` output."""
-    c_prime, c0, c1, c2 = wire
-    return HVECiphertext(
-        width=len(c1),
-        c_prime=wire_to_gt_element(group, c_prime),
-        c0=wire_to_element(group, c0),
-        c1=tuple(wire_to_element(group, e) for e in c1),
-        c2=tuple(wire_to_element(group, e) for e in c2),
-    )
-
-
-def token_to_wire(
-    token: HVEToken,
-) -> tuple[str, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Compact picklable form of a token: ``(pattern, k0, k1 items, k2 items)``."""
-    return (
-        token.pattern,
-        element_to_wire(token.k0),
-        tuple((i, element_to_wire(e)) for i, e in sorted(token.k1.items())),
-        tuple((i, element_to_wire(e)) for i, e in sorted(token.k2.items())),
-    )
-
-
-def wire_to_token(
-    group: BilinearGroup,
-    wire: tuple[str, int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]],
-) -> HVEToken:
-    """Rebuild a token from :func:`token_to_wire` output."""
-    pattern, k0, k1, k2 = wire
-    return HVEToken(
-        pattern=pattern,
-        k0=wire_to_element(group, k0),
-        k1={i: wire_to_element(group, e) for i, e in k1},
-        k2={i: wire_to_element(group, e) for i, e in k2},
-    )
-
-
-# ----------------------------------------------------------------------
 # Generic helpers
 # ----------------------------------------------------------------------
-def wire_size_bytes(wire: Any) -> int:
-    """Approximate transport size of a compact wire form (nested ints/strs).
-
-    Counts the minimal byte length of every integer plus the UTF-8 length of
-    every string; structural overhead is ignored.  Used by the shard-shipping
-    metrics (``bytes_shipped``) -- a stable, backend-independent estimate, not
-    an exact pickle size.
-    """
-    if isinstance(wire, bool):
-        return 1
-    if isinstance(wire, int):
-        return max(1, (wire.bit_length() + 7) // 8)
-    if isinstance(wire, str):
-        return len(wire.encode("utf-8"))
-    if isinstance(wire, (tuple, list)):
-        return sum(wire_size_bytes(item) for item in wire)
-    return 0
-
-
 def to_json(payload: dict[str, Any]) -> str:
     """Render a serialized payload as canonical (sorted-key) JSON."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -2,8 +2,8 @@
 
 Every durable artifact the provider writes -- ciphertext-store snapshots
 (:meth:`repro.protocol.store.CiphertextStore.save`), session snapshots
-(:meth:`repro.service.service.AlertService.snapshot`), shard spool files and
-the write-ahead request journal -- goes through the two primitives here:
+(:meth:`repro.service.service.AlertService.snapshot`) and the write-ahead
+request journal -- goes through the two primitives here:
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` publish a file with
   the classic tmp-file + ``fsync`` + :func:`os.replace` dance, so a reader
@@ -15,9 +15,7 @@ the write-ahead request journal -- goes through the two primitives here:
   into wrong state.
 
 CRC32 is an integrity check against accidents, not an authenticity check
-against adversaries -- the threat model here is crashes and corruption, the
-same one the rest of the resilience layer (:mod:`repro.service.resilience`)
-handles.
+against adversaries -- the threat model here is crashes and corruption.
 """
 
 from __future__ import annotations

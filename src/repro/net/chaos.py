@@ -1,7 +1,7 @@
 """Network-tier chaos soaks: TCP under injected faults vs. fault-free truth.
 
-The PR 6 chaos soak (:func:`repro.service.faults.run_chaos_soak`) proved the
-matching core survives killed workers and torn writes bit-exactly.  The soaks
+The in-process chaos soak (:func:`repro.service.faults.run_chaos_soak`)
+proves the session survives torn snapshots and slow fsyncs bit-exactly.  The soaks
 here extend the bar to the wire, and -- since the exactly-once admission work
 -- to the *full* request mix under retry.  A deterministic script of real
 :class:`Request` objects (subscriptions, moves, ciphertext ingests, standing

@@ -110,7 +110,7 @@ class ShadowEncryptor:
         self._service = AlertService(
             scenario.grid,
             scenario.probabilities,
-            config=ServiceConfig(prime_bits=prime_bits, seed=seed, workers=1),
+            config=ServiceConfig(prime_bits=prime_bits, seed=seed),
         )
         self._rng = random.Random(0xD0_0D if seed is None else seed + 0xD0_0D)
         n_cells = scenario.grid.n_cells

@@ -1,7 +1,7 @@
 """Asyncio front for :class:`~repro.service.service.AlertService`.
 
 The service object is single-threaded by design (its matching engine owns
-process pools, its store a write-ahead journal); the server's job is to put
+resident packed worklists, its store a write-ahead journal); the server's job is to put
 thousands of concurrent TCP conversations in front of it without ever letting
 two requests race into the session.  The shape is a three-stage pipeline:
 

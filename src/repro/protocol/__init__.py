@@ -15,12 +15,9 @@ variable-length workflow of Fig. 3:
 * :mod:`repro.protocol.matching` -- the :class:`MatchingEngine` the service
   provider evaluates tokens through: planned batched evaluation with
   deduplication, cheapest-first ordering, a fused exponent-arithmetic fast
-  path, optional worker threads and incremental re-evaluation.
+  path and incremental re-evaluation.
 * :mod:`repro.protocol.store` -- the provider's persistent ciphertext store
   with freshness management and batch alert processing.
-* :mod:`repro.protocol.shards` -- the sharded store variant: reports hashed
-  into versioned shards whose wire payloads ship to worker processes once
-  and stay resident, so warm passes send only version handles and deltas.
 """
 
 from repro.protocol.alert_system import SecureAlertSystem, SystemInitStats
@@ -33,7 +30,6 @@ from repro.protocol.matching import (
     TokenPlan,
 )
 from repro.protocol.messages import AlertDeclaration, LocationUpdate, Notification, TokenBatch
-from repro.protocol.shards import ResidentShard, ShardedCiphertextStore, ShardShipment
 from repro.protocol.simulation import AlertServiceSimulation, SimulationConfig, SimulationResult
 from repro.protocol.store import BatchMatcher, CiphertextStore, StoredReport
 
@@ -51,9 +47,6 @@ __all__ = [
     "BatchMatcher",
     "CiphertextStore",
     "StoredReport",
-    "ResidentShard",
-    "ShardedCiphertextStore",
-    "ShardShipment",
 
     "SecureAlertSystem",
     "SystemInitStats",

@@ -65,8 +65,8 @@ class SecureAlertSystem:
     matching:
         Options for the service provider's
         :class:`~repro.protocol.matching.MatchingEngine` (strategy, token
-        order, workers, thread/process executor, incremental mode).  Defaults
-        to the planned strategy with a single worker.
+        order, dedupe/subsume, incremental mode).  Defaults to the planned
+        strategy.
     backend:
         Crypto arithmetic backend name shared by all parties (``None``
         auto-selects; see :mod:`repro.crypto.backends`).

@@ -167,8 +167,8 @@ class ServiceProvider:
 
     All matching is delegated to a :class:`~repro.protocol.matching.MatchingEngine`
     (the planned strategy by default); pass ``matching=MatchingOptions(...)``
-    to select the naive parity path, a token order, worker threads or
-    incremental re-evaluation, or inject a pre-built ``engine``.
+    to select the naive parity path, a token order or incremental
+    re-evaluation, or inject a pre-built ``engine``.
     """
 
     def __init__(

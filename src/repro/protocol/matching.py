@@ -27,16 +27,6 @@ paid once per *alert batch*, not once per (user, token):
   (:meth:`~repro.crypto.hve.HVE.matches_via_plan`).  Both record identical
   :class:`~repro.crypto.counting.PairingCounter` totals for the same token
   order -- the paper's metric is preserved bit-exactly.
-* **Chunked multi-worker matching** -- the candidate list is split into
-  chunks handed to a ``concurrent.futures`` pool (off by default,
-  ``workers=N``).  Two executors are available: ``"thread"`` shares the
-  parent's group (GIL-bound on the pure-Python backend, so it mostly overlaps
-  allocator stalls), while ``"process"`` ships the serialized token plan to
-  worker processes once, streams compact ciphertext wire forms to them (see
-  :mod:`repro.crypto.serialization`) and merges the per-worker pairing totals
-  back into the parent's counter bit-exactly.  Chunk results are concatenated
-  in order, so output is deterministic regardless of worker count or
-  executor.
 * **Incremental mode** -- for standing alerts that are re-evaluated
   periodically, the engine remembers each user's (sequence number, outcome)
   per alert and re-matches only users whose sequence number changed; an
@@ -45,46 +35,20 @@ paid once per *alert batch*, not once per (user, token):
   remembered state round-trips through :meth:`MatchingEngine.export_state` /
   :meth:`MatchingEngine.import_state`, which is how standing alerts survive
   provider restarts (see :meth:`repro.protocol.store.CiphertextStore.save`).
-* **Shard-targeted evaluation** -- over a
-  :class:`~repro.protocol.shards.ShardedCiphertextStore`, the process
-  executor ships ``(shard, version)`` handles plus per-shard deltas instead
-  of per-candidate ciphertext wire forms: workers keep each shard resident
-  (and deserialized) between passes, so the per-call serialization term
-  disappears from the scaling curve.  In incremental mode the engine
-  additionally keeps a per-zone *dirty index*: each standing zone records
-  the shard-version frontier it last evaluated, zones whose frontier is
-  still current are skipped outright, and a pass where every zone is clean
-  replays the previous notifications without touching candidates, plan or
-  pools (receipts in :class:`PassStats`).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
-import os
-import signal
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.crypto.backends import FusedProgram
 from repro.crypto.hve import HVE, STAR, HVECiphertext, HVEToken
-from repro.crypto.serialization import (
-    ciphertext_to_wire,
-    group_to_wire,
-    token_to_wire,
-    wire_to_ciphertext,
-    wire_to_group,
-    wire_to_token,
-)
 from repro.protocol.messages import Notification, TokenBatch
 
 __all__ = [
     "MATCHING_STRATEGIES",
     "TOKEN_ORDERS",
-    "EXECUTORS",
-    "EphemeralPools",
     "MatchCandidate",
     "MatchingOptions",
     "PassStats",
@@ -99,10 +63,6 @@ MATCHING_STRATEGIES = ("naive", "planned")
 
 #: Recognised values of :attr:`MatchingOptions.order`.
 TOKEN_ORDERS = ("declared", "cheapest")
-
-#: Recognised values of :attr:`MatchingOptions.executor`.
-EXECUTORS = ("thread", "process")
-
 
 def pattern_subsumes(general: str, specific: str) -> bool:
     """True if every index accepted by ``specific`` is accepted by ``general``.
@@ -126,55 +86,15 @@ class PassStats:
 
     Reset at the start of every :meth:`MatchingEngine.match` /
     :meth:`~MatchingEngine.match_store` call and surfaced by the session
-    service in its receipts and observer metrics, so shard shipping and zone
-    skipping can be profiled without a debugger.
-
-    ``zones_skipped`` counts standing zones whose (shard, version) frontier
-    already matched every shard -- they were answered from remembered
-    outcomes without planning any evaluation.  The shipping counters cover
-    the shard-targeted process path: ``resident_hits`` are candidates served
-    from ciphertexts already resident in worker processes (no serialization,
-    no transfer), ``ciphertexts_shipped``/``bytes_shipped`` what actually
-    travelled (full shard payloads plus delta upserts); on the unsharded
-    process path ``ciphertexts_shipped`` counts the per-call wire forms.
-
-    The affinity-dispatch receipts cover the PR 5 warm path:
-    ``shards_acked`` shipments were acked deltas (built against the pinned
-    worker's confirmed version rather than the floor) and
-    ``acked_delta_bytes`` is what they put on the wire; ``affinity_hits``
-    counts candidates routed to a worker that already held their shard
-    resident; ``inplace_reprimes`` is 1 when a plan change was broadcast to
-    the live pool instead of restarting it.
+    service in its receipts and observer metrics.  ``fused_evals`` counts
+    backend :meth:`~repro.crypto.backends.base.GroupBackend.fused_eval`
+    worklist calls (a pass makes at most one, for its whole candidate list);
+    ``precomp_hits`` counts exponentiations served from fixed-base
+    precomputation tables plus per-key program-cache hits.
     """
 
     candidates: int = 0
     zones_evaluated: int = 0
-    zones_skipped: int = 0
-    shards_shipped: int = 0
-    shards_full: int = 0
-    shards_delta: int = 0
-    shards_acked: int = 0
-    ciphertexts_shipped: int = 0
-    bytes_shipped: int = 0
-    resident_hits: int = 0
-    affinity_hits: int = 0
-    acked_delta_bytes: int = 0
-    inplace_reprimes: int = 0
-    #: Resilience-layer receipts (see :mod:`repro.service.resilience`): how
-    #: many failing process attempts were retried, bounded waits that expired,
-    #: lanes quarantined, passes degraded to inline evaluation, and
-    #: ``StaleResidentShard`` floor resets absorbed during this pass.
-    retries: int = 0
-    deadline_hits: int = 0
-    quarantines: int = 0
-    degraded_passes: int = 0
-    stale_resets: int = 0
-    #: Vectorized-crypto receipts: ``fused_evals`` counts backend
-    #: :meth:`~repro.crypto.backends.base.GroupBackend.fused_eval` worklist
-    #: calls (inline passes make one for the whole candidate list; thread and
-    #: process passes one per chunk / shard worklist), ``precomp_hits`` counts
-    #: exponentiations served from fixed-base precomputation tables plus
-    #: per-key program-cache hits, parent- and worker-side combined.
     fused_evals: int = 0
     precomp_hits: int = 0
 
@@ -217,20 +137,6 @@ class MatchingOptions:
         every specialisation of it, and a specialised match answers its
         generalisations.  Only effective when ``dedupe`` is on; never changes
         notifications, only saves pairings.
-    workers:
-        Workers for chunked matching over the candidate list.  ``1`` (default)
-        runs inline; values above 1 enable the pool selected by ``executor``.
-    executor:
-        Pool flavour for ``workers > 1``: ``"thread"`` (default) shares the
-        parent group but is GIL-bound on the pure-Python backend;
-        ``"process"`` ships the plan and ciphertext wire forms to worker
-        processes, so matching scales with cores at the price of
-        serialization and process start-up.
-    chunk_size:
-        Candidates per worker chunk.  ``None`` (default) splits the candidate
-        list evenly across the workers so every requested worker gets a chunk
-        whatever the store size; set explicitly for finer-grained chunks
-        (better load balancing when per-candidate cost is skewed).
     incremental:
         Remember per-alert outcomes keyed by (user, sequence number) and skip
         users whose sequence number is unchanged on re-evaluation.
@@ -241,27 +147,23 @@ class MatchingOptions:
         Only effective with the planned strategy; notifications and
         :class:`~repro.crypto.counting.PairingCounter` totals are bit-exact
         with the scalar path (property-tested), so this is purely a
-        performance switch.  ``False`` forces the scalar planned evaluator
-        everywhere, including worker processes.
+        performance switch.  ``False`` forces the scalar planned evaluator.
     fused_pack_min_jobs:
-        Worklist size from which the inline fused path switches to the
-        resident packed-column evaluator
+        Worklist size from which the fused path switches to the resident
+        packed-column evaluator
         (:class:`~repro.crypto.backends.base.FusedWorklist`): ciphertext
         exponents packed into big-integer columns, evaluated per token in a
         handful of huge multiplications, refreshed incrementally as users
-        move.  Below the threshold (or on worker chunks) the plain fused call
-        runs -- packing has a per-worklist build cost that only amortises
-        over enough users.  Bit-exact either way; parity tests force ``1`` to
-        exercise the packed path on tiny worklists.
+        move.  Below the threshold the plain fused call runs -- packing has
+        a per-worklist build cost that only amortises over enough users.
+        Bit-exact either way; parity tests force ``1`` to exercise the
+        packed path on tiny worklists.
     """
 
     strategy: str = "planned"
     order: str = "cheapest"
     dedupe: bool = True
     subsume: bool = True
-    workers: int = 1
-    executor: str = "thread"
-    chunk_size: Optional[int] = None
     incremental: bool = False
     fused: bool = True
     fused_pack_min_jobs: int = 64
@@ -271,12 +173,6 @@ class MatchingOptions:
             raise ValueError(f"unknown matching strategy {self.strategy!r}; expected one of {MATCHING_STRATEGIES}")
         if self.order not in TOKEN_ORDERS:
             raise ValueError(f"unknown token order {self.order!r}; expected one of {TOKEN_ORDERS}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {self.executor!r}; expected one of {EXECUTORS}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1 (or None to split evenly across workers)")
         if self.fused_pack_min_jobs < 1:
             raise ValueError("fused_pack_min_jobs must be at least 1")
 
@@ -472,75 +368,8 @@ class TokenPlan:
             return cost
         return sum(entry.cost for _, entries in self._entries_by_alert for entry in entries)
 
-    # ------------------------------------------------------------------
-    # Wire form (process-boundary transport)
-    # ------------------------------------------------------------------
-    def to_wire(self) -> dict[str, Any]:
-        """Compact picklable form of the plan (plain ints/strs/tuples).
-
-        The plan is serialized *once* per matching pass and shipped to every
-        worker process; ciphertexts then travel per chunk.  Round-trips
-        through :meth:`from_wire` bit-exactly: same entries, same slots, same
-        subsumption edges, so workers evaluate precisely what the parent
-        would have.
-        """
-        return {
-            "kind": "token_plan",
-            "order": self.order,
-            "dedupe": self.dedupe,
-            "subsume": self.subsume,
-            "reduced": self.reduced,
-            "total_tokens": self.total_tokens,
-            "unique_patterns": self.unique_patterns,
-            "generalizers": self._generalizers,
-            "alerts": tuple(
-                (
-                    alert_id,
-                    tuple(
-                        (token_to_wire(entry.token), tuple(entry.positions), entry.cost, entry.slot)
-                        for entry in entries
-                    ),
-                )
-                for alert_id, entries in self._entries_by_alert
-            ),
-        }
-
-    @classmethod
-    def from_wire(cls, group, wire: dict[str, Any]) -> "TokenPlan":
-        """Rebuild a plan from :meth:`to_wire` output, bound to ``group``."""
-        if wire.get("kind") != "token_plan":
-            raise ValueError("payload is not a serialized token plan")
-        plan = cls.__new__(cls)
-        plan.order = wire["order"]
-        plan.dedupe = wire["dedupe"]
-        plan.subsume = wire["subsume"]
-        plan.reduced = wire.get("reduced", False)
-        plan.total_tokens = wire["total_tokens"]
-        plan.unique_patterns = wire["unique_patterns"]
-        generalizers = wire["generalizers"]
-        plan._generalizers = (
-            tuple(tuple(gens) for gens in generalizers) if generalizers is not None else None
-        )
-        plan._entries_by_alert = tuple(
-            (
-                alert_id,
-                tuple(
-                    PlannedToken(
-                        token=wire_to_token(group, token_wire),
-                        positions=tuple(positions),
-                        cost=cost,
-                        slot=slot,
-                    )
-                    for token_wire, positions, cost, slot in entries
-                ),
-            )
-            for alert_id, entries in wire["alerts"]
-        )
-        return plan
-
-
 # ----------------------------------------------------------------------
-# Evaluator construction (shared between the engine and worker processes)
+# Evaluator construction
 # ----------------------------------------------------------------------
 Evaluator = Callable[[HVECiphertext, int, dict[int, bool]], bool]
 
@@ -663,318 +492,39 @@ def _compile_fused_program(hve: HVE, plan: TokenPlan) -> FusedProgram:
     )
 
 
-# ----------------------------------------------------------------------
-# Process-pool worker protocol
-# ----------------------------------------------------------------------
-# Worker processes are primed once per pool via the initializer: the group
-# constants, HVE width and the full evaluation payload (serialized plan or
-# naive token lists) land in module globals, after which each task ships only
-# a chunk of ciphertext wire forms.  Workers return their outcomes plus the
-# number of pairings their private counter recorded, which the parent merges
-# into its own counter -- totals are bit-exact with the inline path because
-# per-candidate evaluation is independent of chunking.
-
-_WORKER_STATE: dict[str, Any] = {}
-
-
-def _build_worker_evaluation(group, width: int, payload: tuple[str, Any]) -> None:
-    """Install the HVE, evaluator and (optional) fused program for ``payload``.
-
-    Shared by the pool initializer and the in-place dispatch re-prime, so the
-    two worker flavours cannot diverge on how a payload is interpreted.  The
-    ``"planned_fused"`` payload kind carries the same plan wire as
-    ``"planned"``; the worker additionally compiles it into a
-    :class:`~repro.crypto.backends.base.FusedProgram` so its match calls run
-    the backend's fused loop instead of per-token dispatch.
-    """
-    hve = HVE(width=width, group=group)
-    kind, data = payload
-    fused_program = None
-    if kind in ("planned", "planned_fused"):
-        plan = TokenPlan.from_wire(group, data)
-        evaluate = _make_planned_evaluator(hve, plan)
-        if kind == "planned_fused":
-            fused_program = _compile_fused_program(hve, plan)
-    else:
-        token_lists = [[wire_to_token(group, wire) for wire in batch] for batch in data]
-        evaluate = _make_naive_evaluator(hve, token_lists)
-    _WORKER_STATE["hve"] = hve
-    _WORKER_STATE["evaluate"] = evaluate
-    _WORKER_STATE["fused_program"] = fused_program
-
-
-def _process_worker_init(group_wire: tuple, width: int, payload: tuple[str, Any]) -> None:
-    """Pool initializer: rebuild the group, HVE and evaluator in this process."""
-    _build_worker_evaluation(wire_to_group(group_wire), width, payload)
-
-
-def _process_worker_match(
-    chunk: Sequence[tuple[tuple, tuple[int, ...]]],
-) -> tuple[list[list[bool]], int, int, int]:
-    """Evaluate one chunk of ``(ciphertext wire, needed batch indices)`` jobs.
-
-    Returns the per-candidate outcome rows (aligned with the needed indices),
-    the pairings this call recorded on the worker's private counter, the
-    fused worklist calls made and the precomputation hits they scored.
-
-    On the fused path the ciphertext wire forms *are* the evaluation jobs:
-    the wire already carries the discrete logs the backend loop consumes, so
-    no group elements are materialised at all.
-    """
-    hve: HVE = _WORKER_STATE["hve"]
-    group = hve.group
-    counter = group.counter
-    before = counter.total
-    hits_before = group.precomp_hits
-    program: Optional[FusedProgram] = _WORKER_STATE.get("fused_program")
-    fused_evals = 0
-    if program is not None:
-        rows, _ = group.fused_eval(
-            program, [ciphertext_wire + (needed,) for ciphertext_wire, needed in chunk]
-        )
-        fused_evals = 1
-    else:
-        evaluate: Evaluator = _WORKER_STATE["evaluate"]
-        rows = []
-        for ciphertext_wire, needed in chunk:
-            ciphertext = wire_to_ciphertext(group, ciphertext_wire)
-            shared: dict[int, bool] = {}
-            rows.append([evaluate(ciphertext, index, shared) for index in needed])
-    return rows, counter.total - before, fused_evals, group.precomp_hits - hits_before
-
-
-def _evaluate_resident_worklist(
-    handle: tuple, worklist: Sequence[tuple[str, tuple[int, ...]]]
-) -> tuple[list[list[bool]], int, int]:
-    """Sync this worker's resident copy of one shard, then evaluate its worklist.
-
-    The handle (see :meth:`repro.protocol.shards.ShardShipment.handle`) brings
-    the resident shard up to the parent's version -- loading the spool file on
-    first contact, applying the state-based delta afterwards -- and the
-    worklist names ``(user_id, needed batch indices)`` jobs.  Unchanged users
-    are evaluated from ciphertexts deserialized in a *previous* pass: nothing
-    about them crossed the process boundary this call.  When a fused program
-    is primed the whole worklist runs as one backend
-    :meth:`~repro.crypto.backends.base.GroupBackend.fused_eval` call over the
-    resident ciphertexts' cached exponent rows.  Returns the outcome rows,
-    the version the resident shard ended at and the fused calls made (0 or
-    1).  Shared by the PR 4 pool path and the affinity-dispatch path, so the
-    resident-shard protocol cannot diverge between them.
-    """
-    from repro.protocol.shards import ResidentShard
-
-    hve: HVE = _WORKER_STATE["hve"]
-    residents: dict[tuple[str, int], ResidentShard] = _WORKER_STATE.setdefault("resident_shards", {})
-    key = (handle[0], handle[1])  # (store token, shard id)
-    resident = residents.get(key)
-    if resident is None:
-        resident = residents[key] = ResidentShard(hve.group)
-    applied = resident.sync(handle)
-    program: Optional[FusedProgram] = _WORKER_STATE.get("fused_program")
-    if program is not None and worklist:
-        rows, _ = hve.group.fused_eval(
-            program,
-            [
-                resident.ciphertext(user_id)._exponent_rows + (needed,)
-                for user_id, needed in worklist
-            ],
-        )
-        return rows, applied, 1
-    evaluate: Evaluator = _WORKER_STATE["evaluate"]
-    rows: list[list[bool]] = []
-    for user_id, needed in worklist:
-        shared: dict[int, bool] = {}
-        ciphertext = resident.ciphertext(user_id)
-        rows.append([evaluate(ciphertext, index, shared) for index in needed])
-    return rows, applied, 0
-
-
-def _shard_worker_match(
-    task: tuple[tuple, Sequence[tuple[str, tuple[int, ...]]]]
-) -> tuple[list[list[bool]], int, int, int]:
-    """Evaluate one shard's worklist from worker-resident ciphertexts.
-
-    One ``(shipment handle, worklist)`` task of the PR 4 pool path; returns
-    the outcome rows, the pairings this call recorded on the worker's private
-    counter, the fused worklist calls made and the precomputation hits they
-    scored.
-    """
-    handle, worklist = task
-    group = _WORKER_STATE["hve"].group
-    counter = group.counter
-    before = counter.total
-    hits_before = group.precomp_hits
-    rows, _, fused_evals = _evaluate_resident_worklist(handle, worklist)
-    return rows, counter.total - before, fused_evals, group.precomp_hits - hits_before
-
-
-# ----------------------------------------------------------------------
-# Affinity-dispatch worker protocol (see repro.service.dispatch)
-# ----------------------------------------------------------------------
-# The dispatch layer pins every worker process behind its own single-worker
-# executor ("lane"), which is what makes the functions below meaningful:
-# a task submitted to a lane always lands in the same process, so resident
-# shards survive plan changes and the parent can track exactly which shard
-# versions each worker has applied.
-
-
-def _dispatch_worker_prime(group_wire: tuple, width: int, payload: tuple[str, Any]) -> bool:
-    """(Re)prime this worker in place: rebuild the evaluator, keep residents.
-
-    Unlike :func:`_process_worker_init` -- which runs in a *fresh* process --
-    this runs as an ordinary task inside a live worker whenever the plan
-    changes.  The group object is rebuilt only when the group *constants*
-    actually changed -- the comparison deliberately ignores the wire's
-    precomputation slot, so a table the parent built between passes arrives
-    without invalidating the worker's resident, already-deserialized
-    ciphertexts (group elements are bound to their group instance by
-    identity); the table is instead installed into the live group.
-    """
-    group = _WORKER_STATE.get("group")
-    cached_wire = _WORKER_STATE.get("group_wire")
-    if group is None or cached_wire is None or tuple(cached_wire[:4]) != tuple(group_wire[:4]):
-        group = wire_to_group(group_wire)
-        _WORKER_STATE["group"] = group
-        _WORKER_STATE["group_wire"] = group_wire
-        # Residents deserialized against a previous group cannot serve the
-        # new one; drop them so first contact bootstraps from the spool.
-        _WORKER_STATE.pop("resident_shards", None)
-    elif len(group_wire) > 4 and group_wire[4] is not None:
-        group.install_precomputation(group_wire[4])
-    _build_worker_evaluation(group, width, payload)
-    return True
-
-
-def _dispatch_worker_match(
-    tasks: Sequence[tuple[tuple, Sequence[tuple[str, tuple[int, ...]]]]]
-) -> tuple[tuple[tuple[int, list[list[bool]], int], ...], int, int, int]:
-    """Evaluate every shard task routed to this lane's worker.
-
-    ``tasks`` is a sequence of ``(shipment handle, worklist)`` pairs -- all
-    the shards the dispatcher pinned to this worker that have work this pass.
-    Returns, per shard, ``(shard_id, outcome rows, applied version)`` -- the
-    applied version is what the parent acks -- plus the pairings recorded by
-    this worker's private counter, the fused worklist calls made and the
-    precomputation hits they scored.  Raises
-    :class:`~repro.protocol.shards.StaleResidentShard` when a delta cannot be
-    anchored (the dispatcher then re-ships from the floor).
-    """
-    group = _WORKER_STATE["hve"].group
-    counter = group.counter
-    before = counter.total
-    hits_before = group.precomp_hits
-    fused_evals = 0
-    out: list[tuple[int, list[list[bool]], int]] = []
-    for handle, worklist in tasks:
-        rows, applied, fused = _evaluate_resident_worklist(handle, worklist)
-        fused_evals += fused
-        out.append((handle[1], rows, applied))
-    return tuple(out), counter.total - before, fused_evals, group.precomp_hits - hits_before
-
-
-def _dispatch_worker_evict(keys: Sequence[tuple[str, int]]) -> int:
-    """Drop resident shards this worker no longer owns; returns how many."""
-    residents = _WORKER_STATE.get("resident_shards")
-    evicted = 0
-    if residents:
-        for key in keys:
-            if residents.pop(tuple(key), None) is not None:
-                evicted += 1
-    return evicted
-
-
-class EphemeralPools:
-    """Per-call executors: each matching pass gets a fresh pool (seed behaviour).
-
-    The engine acquires its executors through this small provider interface so
-    a session shell can substitute long-lived pools -- see
-    :class:`repro.service.executor.PersistentExecutorPool`, which keeps one
-    process pool alive across matching passes and re-primes it only when the
-    engine's plan version changes.  Providers must implement ``thread_pool``
-    and ``process_pool`` as context managers yielding a
-    :class:`concurrent.futures.Executor`.
-    """
-
-    @contextlib.contextmanager
-    def thread_pool(self, workers: int) -> Iterator[concurrent.futures.Executor]:
-        """A fresh thread pool, shut down when the matching pass completes."""
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-        try:
-            yield pool
-        finally:
-            pool.shutdown()
-
-    @contextlib.contextmanager
-    def process_pool(
-        self, workers: int, prime_version: int, initargs: tuple
-    ) -> Iterator[concurrent.futures.Executor]:
-        """A fresh process pool primed via ``initargs``, shut down afterwards.
-
-        ``prime_version`` identifies the evaluation payload baked into
-        ``initargs`` (it changes exactly when the engine rebuilds its plan);
-        ephemeral pools re-prime every call so they can ignore it.
-        """
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_process_worker_init,
-            initargs=initargs,
-        )
-        try:
-            yield pool
-        finally:
-            pool.shutdown()
-
-
 @dataclass
 class _CachedEvaluation:
-    """The reusable artefacts of one batch sequence: plan, evaluator, payload.
+    """The reusable artefacts of one batch sequence: plan, evaluator, program.
 
     Keyed by the *identity* of the batch objects: a session re-evaluating the
     same standing :class:`~repro.protocol.messages.TokenBatch` objects reuses
-    the plan (and its serialized process payload) call after call, while any
-    change to the batch tuple bumps ``version`` -- the signal pool providers
-    use to re-prime worker processes.
+    the plan (and its compiled program and packed worklist) call after call.
     """
 
     batches: tuple[TokenBatch, ...]
-    version: int
     evaluator: Evaluator
     plan: Optional[TokenPlan]
-    #: Compiled once per plan when the engine's ``fused`` option is on; the
-    #: worker payload kind then becomes ``"planned_fused"`` so worker
-    #: processes compile their own copy from the same plan wire.
+    #: Compiled once per plan when the engine's ``fused`` option is on.
     fused_program: Optional[FusedProgram] = None
-    #: Lazily-built resident packed worklist for the inline fused path
+    #: Lazily-built resident packed worklist for the fused path
     #: (:class:`~repro.crypto.backends.base.FusedWorklist`); lives with the
     #: plan so its packed columns survive across passes and refresh
     #: incrementally as the candidate population drifts.
     fused_worklist: Optional[Any] = field(default=None, repr=False)
-    _payload: Optional[tuple[str, Any]] = field(default=None, repr=False)
 
     def matches(self, batches: Sequence[TokenBatch]) -> bool:
         return len(self.batches) == len(batches) and all(
             cached is batch for cached, batch in zip(self.batches, batches)
         )
 
-    def payload(self) -> tuple[str, Any]:
-        """The picklable worker payload, serialized once per plan version."""
-        if self._payload is None:
-            if self.plan is not None:
-                kind = "planned" if self.fused_program is None else "planned_fused"
-                self._payload = (kind, self.plan.to_wire())
-            else:
-                self._payload = (
-                    "naive",
-                    tuple(
-                        tuple(token_to_wire(token) for token in batch.tokens)
-                        for batch in self.batches
-                    ),
-                )
-        return self._payload
-
 
 class MatchingEngine:
     """The single matching path of the service provider.
+
+    Every pass runs on the calling thread: the whole outstanding worklist is
+    one fused backend call (through the plan's resident packed worklist from
+    ``fused_pack_min_jobs`` candidates up), or the scalar evaluator when the
+    ``fused`` option is off or the strategy is ``"naive"``.
 
     Parameters
     ----------
@@ -982,25 +532,14 @@ class MatchingEngine:
         The HVE instance shared with the rest of the deployment (the engine
         only ever calls query/match operations -- it never sees key material).
     options:
-        Strategy and execution tunables; defaults to the planned strategy,
-        cheapest-first order, deduplication and subsumption on, a single
-        worker (thread executor) and no incremental state.
-    pools:
-        Executor provider for chunked matching.  Defaults to
-        :class:`EphemeralPools` (a fresh pool per call); a session shell
-        passes a persistent provider so high-frequency small batches amortise
-        pool start-up.
+        Strategy and evaluation tunables; defaults to the planned strategy,
+        cheapest-first order, deduplication and subsumption on, fused
+        evaluation and no incremental state.
     """
 
-    def __init__(
-        self,
-        hve: HVE,
-        options: Optional[MatchingOptions] = None,
-        pools: Optional[EphemeralPools] = None,
-    ):
+    def __init__(self, hve: HVE, options: Optional[MatchingOptions] = None):
         self.hve = hve
         self.options = options if options is not None else MatchingOptions()
-        self.pools = pools if pools is not None else EphemeralPools()
         # alert_id -> (token signature, user_id -> (sequence_number, matched)).
         # The signature is the alert's ordered pattern tuple: a standing alert
         # re-declared with a different token set must not serve outcomes
@@ -1009,24 +548,12 @@ class MatchingEngine:
         # Most-recent-first; more than one entry so an interleaved one-shot
         # alert does not evict a standing set's plan (see _evaluation_for).
         self._cache_entries: list[_CachedEvaluation] = []
-        self._plan_version = 0
         #: Evaluations that rebuilt the plan / reused the cached one -- the
         #: session metrics observers report these per request.
         self.plan_builds = 0
         self.plan_reuses = 0
         #: Work accounting of the most recent pass (see :class:`PassStats`).
         self.last_pass = PassStats()
-        # Zone dirty index: alert_id -> (token signature, shard versions at
-        # the zone's last evaluation).  Only maintained for sharded stores in
-        # incremental mode (see match_store); a zone whose frontier matches
-        # every current shard version has nothing to re-evaluate.
-        self._zone_frontier: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = {}
-        # Fully-warm fast path: (key, notifications, candidate count) of the
-        # last assembled pass, replayed verbatim when every zone is clean.
-        self._warm_pass: Optional[tuple[tuple, tuple[Notification, ...], int]] = None
-        # Private resilience runtime, created lazily when the pool provider
-        # does not carry one (bare engines, EphemeralPools).
-        self._resilience = None
 
     # ------------------------------------------------------------------
     # Planning
@@ -1048,21 +575,14 @@ class MatchingEngine:
         batches: Sequence[TokenBatch],
         candidates: Iterable[MatchCandidate],
         descriptions: Optional[Mapping[str, str]] = None,
-        *,
-        sharded_store=None,
     ) -> list[Notification]:
         """Match every alert batch against every candidate ciphertext.
 
-        Semantics are identical across strategies, executors and worker
-        counts: per candidate, alerts are evaluated in declaration order and
-        each alert short-circuits on its first matching token; a user can be
-        notified for several distinct alerts but only once per alert.
-        Notifications come back in (candidate, alert) order.
-
-        ``sharded_store`` (normally supplied by :meth:`match_store`) must be
-        the :class:`~repro.protocol.shards.ShardedCiphertextStore` the
-        candidates came from; with the process executor the engine then ships
-        shard handles and deltas instead of per-candidate wire forms.
+        Semantics are identical across strategies and evaluation paths: per
+        candidate, alerts are evaluated in declaration order and each alert
+        short-circuits on its first matching token; a user can be notified
+        for several distinct alerts but only once per alert.  Notifications
+        come back in (candidate, alert) order.
         """
         batches = list(batches)
         candidates = list(candidates)
@@ -1072,18 +592,7 @@ class MatchingEngine:
         if not batches or not candidates:
             stats.zones_evaluated = 0
             return []
-        outcomes = self._evaluate_all(batches, candidates, sharded_store=sharded_store)
-        return self._finish(batches, candidates, outcomes, descriptions)
-
-    def _finish(
-        self,
-        batches: Sequence[TokenBatch],
-        candidates: Sequence[MatchCandidate],
-        outcomes: Sequence[Sequence[bool]],
-        descriptions: Optional[Mapping[str, str]],
-    ) -> list[Notification]:
-        """Record incremental outcomes and assemble (candidate, alert)-ordered
-        notifications from the per-candidate outcome rows."""
+        outcomes = self._evaluate_all(batches, candidates)
         descriptions = descriptions or {}
         if self.options.incremental:
             outcome_maps = [self._alert_state[batch.alert_id][1] for batch in batches]
@@ -1109,93 +618,8 @@ class MatchingEngine:
         now: float,
         descriptions: Optional[Mapping[str, str]] = None,
     ) -> list[Notification]:
-        """Match alert batches against the fresh reports of a ciphertext store.
-
-        A sharded store (anything exposing ``ship_plan``/``shard_versions``,
-        i.e. :class:`~repro.protocol.shards.ShardedCiphertextStore`) upgrades
-        the pass twice over: the process executor ships shard handles and
-        deltas instead of per-candidate ciphertext wire forms, and -- in
-        incremental mode -- the per-zone dirty index skips standing zones
-        whose (shard, version) frontier is already current (see
-        :class:`PassStats` for the receipts).
-        """
-        batches = list(batches)
-        sharded = hasattr(store, "ship_plan") and hasattr(store, "shard_versions")
-        if sharded and self.options.incremental and batches:
-            return self._match_store_targeted(batches, store, now, descriptions)
-        return self.match(
-            batches,
-            store.fresh_candidates(now),
-            descriptions=descriptions,
-            sharded_store=store if sharded and self._ships_shards() else None,
-        )
-
-    def _ships_shards(self) -> bool:
-        """True when this engine's passes cross a process boundary.
-
-        Only the process executor ships anything; inline and thread matching
-        evaluate straight off the live store, so they must never be routed
-        through shipment planning (the sharded store still provides the
-        version clock for zone targeting either way).
-        """
-        return self.options.executor == "process" and self.options.workers > 1
-
-    def _match_store_targeted(
-        self,
-        batches: Sequence[TokenBatch],
-        store,
-        now: float,
-        descriptions: Optional[Mapping[str, str]],
-    ) -> list[Notification]:
-        """The zone-targeted pass over a sharded store (incremental mode).
-
-        Expiry is folded into the version clock first: purging stale reports
-        advances the owning shards' versions (and drops the purged users'
-        remembered outcomes, so a later re-subscription can never replay a
-        stale verdict).  Every standing zone then compares its frontier --
-        the shard versions it last evaluated -- against the store: a zone
-        whose frontier matches every shard is *skipped* (its remembered
-        outcomes already cover every fresh candidate at its current sequence
-        number), and when every zone is clean the pass replays the previous
-        notifications without touching candidates, plan or pools at all.
-        """
-        stats = self.last_pass = PassStats()
-        descriptions = descriptions or {}
-        if store.max_age_seconds is not None:
-            # One scan: purge_expired removes the stale reports, advances the
-            # owning shards' versions and hands back the purged pseudonyms.
-            for user_id in store.purge_expired(now):
-                for _, outcomes in self._alert_state.values():
-                    outcomes.pop(user_id, None)
-
-        versions = store.shard_versions()
-        signatures = [tuple(token.pattern for token in batch.tokens) for batch in batches]
-        clean = []
-        for batch, signature in zip(batches, signatures):
-            frontier = self._zone_frontier.get(batch.alert_id)
-            clean.append(frontier is not None and frontier == (signature, versions))
-        stats.zones_skipped = sum(clean)
-        stats.zones_evaluated = len(batches) - stats.zones_skipped
-
-        warm_key = (
-            versions,
-            tuple(batch.alert_id for batch in batches),
-            tuple(sorted(descriptions.items())),
-        )
-        if all(clean) and self._warm_pass is not None and self._warm_pass[0] == warm_key:
-            stats.candidates = self._warm_pass[2]
-            return list(self._warm_pass[1])
-
-        candidates = store.fresh_candidates(now)
-        stats.candidates = len(candidates)
-        outcomes = self._evaluate_all(
-            batches, candidates, sharded_store=store if self._ships_shards() else None
-        )
-        notifications = self._finish(batches, candidates, outcomes, descriptions)
-        for batch, signature in zip(batches, signatures):
-            self._zone_frontier[batch.alert_id] = (signature, versions)
-        self._warm_pass = (warm_key, tuple(notifications), len(candidates))
-        return notifications
+        """Match alert batches against the fresh reports of a ciphertext store."""
+        return self.match(batches, store.fresh_candidates(now), descriptions=descriptions)
 
     # ------------------------------------------------------------------
     # Incremental state
@@ -1207,14 +631,10 @@ class MatchingEngine:
     def forget_alert(self, alert_id: str) -> None:
         """Drop the incremental state of one standing alert (no-op if absent)."""
         self._alert_state.pop(alert_id, None)
-        self._zone_frontier.pop(alert_id, None)
-        self._warm_pass = None
 
     def reset_state(self) -> None:
-        """Drop all incremental state (including the zone dirty index)."""
+        """Drop all incremental state."""
         self._alert_state.clear()
-        self._zone_frontier.clear()
-        self._warm_pass = None
 
     def export_state(self) -> dict[str, Any]:
         """JSON-compatible snapshot of the incremental re-evaluation state.
@@ -1252,11 +672,6 @@ class MatchingEngine:
             }
             state[alert_id] = (signature, outcomes)
         self._alert_state = state
-        # Frontiers are clocked against a live store's shard versions; a
-        # restored snapshot starts a fresh version history, so they must not
-        # survive the import.
-        self._zone_frontier.clear()
-        self._warm_pass = None
 
     # ------------------------------------------------------------------
     # Evaluation internals
@@ -1271,11 +686,10 @@ class MatchingEngine:
 
         The cache is keyed by batch-object identity: a standing set of alerts
         re-evaluated with the same :class:`TokenBatch` objects skips plan
-        construction (and payload serialization) entirely, which is what lets
-        a long-lived session amortise planning across high-frequency calls.
+        construction and program compilation entirely, which is what lets a
+        long-lived session amortise planning across high-frequency calls.
         A small LRU of recent batch tuples is kept so a one-shot alert
         evaluated between standing ticks does not evict the standing plan.
-        An unseen tuple bumps the plan version.
         """
         for index, entry in enumerate(self._cache_entries):
             if entry.matches(batches):
@@ -1284,7 +698,6 @@ class MatchingEngine:
                 self.plan_reuses += 1
                 return entry
         self.plan_builds += 1
-        self._plan_version += 1
         if self.options.strategy == "planned":
             plan: Optional[TokenPlan] = self.plan(batches)
             evaluator = _make_planned_evaluator(self.hve, plan)
@@ -1295,7 +708,6 @@ class MatchingEngine:
             evaluator = _make_naive_evaluator(self.hve, [list(batch.tokens) for batch in batches])
         cached = _CachedEvaluation(
             batches=tuple(batches),
-            version=self._plan_version,
             evaluator=evaluator,
             plan=plan,
             fused_program=fused_program,
@@ -1303,11 +715,6 @@ class MatchingEngine:
         self._cache_entries.insert(0, cached)
         del self._cache_entries[self._PLAN_CACHE_SIZE :]
         return cached
-
-    @property
-    def plan_version(self) -> int:
-        """Monotonic counter bumped whenever the evaluation plan is rebuilt."""
-        return self._plan_version
 
     def _resolve_incremental(
         self, batches: Sequence[TokenBatch], candidates: Sequence[MatchCandidate]
@@ -1317,8 +724,7 @@ class MatchingEngine:
         Returns per-candidate rows prefilled with cached outcomes (``None``
         where evaluation is required) plus, per candidate, the tuple of batch
         indices to evaluate.  With incremental mode off every index is
-        needed.  Cache lookups stay in the parent process: workers only ever
-        see the (ciphertext, needed indices) jobs.
+        needed.
         """
         if self.options.incremental:
             cached_by_batch = []
@@ -1351,135 +757,9 @@ class MatchingEngine:
         return rows, needed
 
     def _evaluate_all(
-        self,
-        batches: Sequence[TokenBatch],
-        candidates: Sequence[MatchCandidate],
-        sharded_store=None,
+        self, batches: Sequence[TokenBatch], candidates: Sequence[MatchCandidate]
     ) -> list[list[bool]]:
-        """Per-candidate, per-batch outcomes, honoring incremental state,
-        worker count and executor choice."""
-        rows, needed = self._resolve_incremental(batches, candidates)
-        if not any(needed):
-            # The incremental cache answered everything: skip plan building
-            # (and any pool) outright.
-            return rows  # type: ignore[return-value]
-        evaluation = self._evaluation_for(batches)
-        workers = min(self.options.workers, len(candidates))
-        # Parent-side precomputation hits (table-served burns, program-cache
-        # hits) accrue on the live group; worker-side deltas are merged by the
-        # process-path consumers.
-        hits_before = self.hve.group.precomp_hits
-
-        if workers > 1 and self.options.executor == "process" and sharded_store is not None:
-            evaluated = self._with_resilience(
-                lambda: self._evaluate_process_sharded(
-                    evaluation, sharded_store, candidates, needed, workers
-                ),
-                lambda: self._evaluate_inline(evaluation, candidates, needed),
-            )
-        elif workers > 1 and self.options.executor == "process":
-            evaluated = self._with_resilience(
-                lambda: self._evaluate_process(evaluation, candidates, needed, workers),
-                lambda: self._evaluate_inline(evaluation, candidates, needed),
-            )
-        elif workers <= 1:
-            evaluated = self._evaluate_inline(evaluation, candidates, needed)
-        else:
-            evaluated = self._evaluate_threads(evaluation, candidates, needed, workers)
-
-        self.last_pass.precomp_hits += self.hve.group.precomp_hits - hits_before
-        for row, need, results in zip(rows, needed, evaluated):
-            for index, outcome in zip(need, results):
-                row[index] = outcome
-        return rows  # type: ignore[return-value]  # every None has been filled
-
-    def _evaluate_threads(
-        self,
-        evaluation: _CachedEvaluation,
-        candidates: Sequence[MatchCandidate],
-        needed: Sequence[tuple[int, ...]],
-        workers: int,
-    ) -> list[list[bool]]:
-        """Chunked evaluation over a thread pool sharing the parent group.
-
-        With a fused program each chunk becomes one backend worklist call;
-        otherwise candidates are evaluated one scalar job at a time, exactly
-        as before.  Chunk results concatenate in order either way.
-        """
-        program = evaluation.fused_program
-        jobs = list(zip(candidates, needed))
-        chunk_size = self._chunk_size(len(jobs), workers)
-        chunks = [jobs[i : i + chunk_size] for i in range(0, len(jobs), chunk_size)]
-        if program is not None:
-            group = self.hve.group
-
-            def run_chunk(chunk: list) -> list[list[bool]]:
-                rows, _ = group.fused_eval(
-                    program,
-                    [
-                        candidate.ciphertext._exponent_rows + (need,)
-                        for candidate, need in chunk
-                    ],
-                )
-                return rows
-
-        else:
-            evaluate = evaluation.evaluator
-
-            def evaluate_candidate(job: tuple[MatchCandidate, tuple[int, ...]]) -> list[bool]:
-                candidate, need = job
-                shared: dict[int, bool] = {}
-                return [evaluate(candidate.ciphertext, index, shared) for index in need]
-
-            def run_chunk(chunk: list) -> list[list[bool]]:
-                return [evaluate_candidate(job) for job in chunk]
-
-        with self.pools.thread_pool(workers) as pool:
-            chunk_rows = list(pool.map(run_chunk, chunks))
-        if program is not None:
-            self.last_pass.fused_evals += len(chunks)
-        return [row for chunk in chunk_rows for row in chunk]
-
-    def _chunk_size(self, n_jobs: int, workers: int) -> int:
-        chunk_size = self.options.chunk_size
-        if chunk_size is None:
-            chunk_size = -(-n_jobs // workers)  # ceil: every worker gets a chunk
-        return chunk_size
-
-    # ------------------------------------------------------------------
-    # Resilience: bounded waits, retries, graceful degradation
-    # ------------------------------------------------------------------
-    @property
-    def resilience(self):
-        """The session's :class:`~repro.service.resilience.ResilienceRuntime`.
-
-        Shared with the dispatcher through the pool provider when it carries
-        one (:class:`~repro.service.executor.PersistentExecutorPool`); bare
-        engines lazily build a private default-policy runtime, so the process
-        paths are *always* deadline-bounded.  Imported lazily -- ``service``
-        imports this module during package init.
-        """
-        runtime = getattr(self.pools, "resilience", None)
-        if runtime is not None:
-            return runtime
-        if self._resilience is None:
-            from repro.service.resilience import ResilienceRuntime
-
-            self._resilience = ResilienceRuntime()
-        return self._resilience
-
-    def _evaluate_inline(
-        self,
-        evaluation: _CachedEvaluation,
-        candidates: Sequence[MatchCandidate],
-        needed: Sequence[tuple[int, ...]],
-    ) -> list[list[bool]]:
-        """Single-threaded evaluation of the outstanding (candidate, batch) work.
-
-        The reference path the executor tiers must agree with bit-exactly --
-        and therefore also the graceful-degradation fallback: a pass whose
-        process tier keeps failing is answered here, burning the same
-        pairings on the parent counter that the workers would have merged.
+        """Per-candidate, per-batch outcomes, honoring incremental state.
 
         With a fused program the *entire* outstanding worklist is one backend
         call: per candidate the cached exponent rows plus the needed batch
@@ -1489,6 +769,13 @@ class MatchingEngine:
         keyed by ``(user_id, sequence_number)`` so repeat passes reuse the
         packed columns and movers are patched in place.
         """
+        rows, needed = self._resolve_incremental(batches, candidates)
+        if not any(needed):
+            # The incremental cache answered everything: skip plan building.
+            return rows  # type: ignore[return-value]
+        evaluation = self._evaluation_for(batches)
+        group = self.hve.group
+        hits_before = group.precomp_hits
         program = evaluation.fused_program
         if program is not None:
             jobs = [
@@ -1499,494 +786,21 @@ class MatchingEngine:
             if len(jobs) >= self.options.fused_pack_min_jobs:
                 worklist = evaluation.fused_worklist
                 if worklist is None:
-                    worklist = evaluation.fused_worklist = (
-                        self.hve.group.backend.make_fused_worklist(program)
-                    )
+                    worklist = evaluation.fused_worklist = group.backend.make_fused_worklist(program)
                 keys = [
                     (candidate.user_id, candidate.sequence_number)
                     for candidate in candidates
                 ]
-            evaluated, _ = self.hve.group.fused_eval(
-                program, jobs, worklist=worklist, keys=keys
-            )
+            evaluated, _ = group.fused_eval(program, jobs, worklist=worklist, keys=keys)
             self.last_pass.fused_evals += 1
-            return evaluated
-        evaluate = evaluation.evaluator
-        evaluated: list[list[bool]] = []
-        for candidate, need in zip(candidates, needed):
-            shared: dict[int, bool] = {}
-            evaluated.append([evaluate(candidate.ciphertext, index, shared) for index in need])
-        return evaluated
-
-    def _with_resilience(
-        self,
-        attempt: Callable[[], list[list[bool]]],
-        inline_fallback: Callable[[], list[list[bool]]],
-    ) -> list[list[bool]]:
-        """Run one process-tier evaluation attempt under the resilience policy.
-
-        Failures the layer knows how to recover from -- a broken pool, an
-        expired task deadline, a quarantined lane, a stale resident that
-        could not be repaired in-pass -- are retried up to ``max_retries``
-        times with seeded-jitter backoff (each retry runs against freshly
-        respawned workers, so pairing totals stay bit-exact: a failed
-        attempt's worker counters are never merged).  When the retries are
-        exhausted the pass degrades to :meth:`_evaluate_inline` and still
-        returns a correct result, unless the policy demands propagation.
-        The runtime counter deltas are folded into :class:`PassStats` either
-        way, so the session metrics see every retry and degradation.
-        """
-        from repro.protocol.shards import StaleResidentShard
-        from repro.service.resilience import LaneQuarantined, TaskDeadlineExceeded
-
-        runtime = self.resilience
-        runtime.begin_pass()
-        before = runtime.snapshot()
-        stats = self.last_pass
-        try:
-            failure: Optional[BaseException] = None
-            for attempt_no in range(runtime.policy.max_retries + 1):
-                if attempt_no:
-                    runtime.record_retry()
-                    delay = runtime.backoff_seconds(attempt_no - 1)
-                    if delay > 0:
-                        time.sleep(delay)
-                try:
-                    return attempt()
-                except (
-                    concurrent.futures.BrokenExecutor,
-                    TaskDeadlineExceeded,
-                    LaneQuarantined,
-                    StaleResidentShard,
-                ) as exc:
-                    failure = exc
-            if not runtime.policy.degrade_inline:
-                raise failure  # type: ignore[misc]  # loop ran at least once
-            runtime.record_degraded_pass()
-            return inline_fallback()
-        finally:
-            after = runtime.snapshot()
-            stats.retries += after["retries"] - before["retries"]
-            stats.deadline_hits += after["deadline_hits"] - before["deadline_hits"]
-            stats.quarantines += after["quarantines"] - before["quarantines"]
-            stats.degraded_passes += after["degraded_passes"] - before["degraded_passes"]
-            stats.stale_resets += after["stale_resets"] - before["stale_resets"]
-
-    @staticmethod
-    def _kill_executor_processes(executor, join_timeout: float = 5.0) -> None:
-        """SIGKILL a plain process pool's workers (deadline-hit escalation).
-
-        Mirrors :meth:`repro.service.dispatch.WorkerLane.kill_processes`: a
-        worker wedged inside a task ignores ``shutdown``'s exit request and
-        would leak -- and an ephemeral pool's ``shutdown(wait=True)`` would
-        block on it forever.  Killing first makes both shutdown flavours
-        terminate promptly.
-        """
-        processes = list(getattr(executor, "_processes", {}).values())
-        for process in processes:
-            if process.is_alive() and process.pid is not None:
-                try:
-                    os.kill(process.pid, signal.SIGKILL)
-                except OSError:
-                    pass
-        deadline = time.time() + join_timeout
-        for process in processes:
-            process.join(max(0.0, deadline - time.time()))
-
-    def _evaluate_process(
-        self,
-        evaluation: _CachedEvaluation,
-        candidates: Sequence[MatchCandidate],
-        needed: Sequence[tuple[int, ...]],
-        workers: int,
-    ) -> list[list[bool]]:
-        """Fan candidate chunks out to a process pool from the pool provider.
-
-        The plan (or naive token lists) and group constants are serialized
-        once per plan version and installed in each worker by the pool
-        initializer; per-chunk traffic is limited to compact ciphertext wire
-        forms.  Candidates the incremental cache fully answered are never
-        serialized or shipped, and when *nothing* needs evaluation no pool is
-        touched at all.  Worker pairing totals are merged into the parent
-        counter without re-burning pairing work (the workers already did),
-        keeping :class:`~repro.crypto.counting.PairingCounter` totals
-        bit-exact with the inline path.
-        """
-        # Only candidates with work left cross the process boundary.
-        jobs = [
-            (position, (ciphertext_to_wire(candidate.ciphertext), need))
-            for position, (candidate, need) in enumerate(zip(candidates, needed))
-            if need
-        ]
-        evaluated: list[list[bool]] = [[] for _ in candidates]
-        if not jobs:
-            return evaluated
-
-        group = self.hve.group
-        self._require_process_backend(group)
-        self.last_pass.ciphertexts_shipped += len(jobs)
-        payload = evaluation.payload()
-        workers = min(workers, len(jobs))
-        chunk_size = self._chunk_size(len(jobs), workers)
-        chunks = [jobs[i : i + chunk_size] for i in range(0, len(jobs), chunk_size)]
-        with self.pools.process_pool(
-            workers=workers,
-            prime_version=evaluation.version,
-            initargs=(group_to_wire(group), self.hve.width, payload),
-        ) as pool:
-            futures = [
-                pool.submit(_process_worker_match, [job for _, job in chunk]) for chunk in chunks
-            ]
-            chunk_results = [self._chunk_result(pool, future) for future in futures]
-        worker_pairings = 0
-        stats = self.last_pass
-        for chunk, (rows, pairings, fused_evals, precomp_hits) in zip(chunks, chunk_results):
-            worker_pairings += pairings
-            stats.fused_evals += fused_evals
-            stats.precomp_hits += precomp_hits
-            for (position, _), row in zip(chunk, rows):
-                evaluated[position] = row
-        group.counter.record_pairing(worker_pairings)
-        return evaluated
-
-    def _chunk_result(self, pool, future: concurrent.futures.Future):
-        """Await one plain-pool chunk under the resilience task deadline.
-
-        A timeout SIGKILLs the (hung) pool workers -- otherwise the pool's
-        shutdown would block on them forever -- and raises
-        :class:`~repro.service.resilience.TaskDeadlineExceeded`, which the
-        pool provider treats like a broken pool (drop and restart) and
-        :meth:`_with_resilience` retries or degrades.
-        """
-        from repro.service.resilience import TaskDeadlineExceeded
-
-        runtime = self.resilience
-        try:
-            return future.result(timeout=runtime.task_deadline)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            runtime.deadline_hits += 1
-            self._kill_executor_processes(pool)
-            raise TaskDeadlineExceeded(
-                f"process-pool chunk exceeded the {runtime.task_deadline:.3g}s task deadline"
-            ) from None
-
-    @staticmethod
-    def _require_process_backend(group) -> None:
-        # Workers resolve the backend by registry name; fail here with the
-        # real cause rather than letting every worker die into an opaque
-        # BrokenProcessPool (e.g. an unregistered custom backend instance).
-        from repro.crypto.backends import get_backend
-
-        try:
-            get_backend(group.backend_name)
-        except (ValueError, RuntimeError) as exc:
-            raise RuntimeError(
-                f"executor='process' requires a crypto backend that worker processes can "
-                f"resolve by name; backend {group.backend_name!r} is not registered or not "
-                f"available (register it via repro.crypto.backends.register_backend, or use "
-                f"executor='thread')"
-            ) from exc
-
-    def _evaluate_process_sharded(
-        self,
-        evaluation: _CachedEvaluation,
-        store,
-        candidates: Sequence[MatchCandidate],
-        needed: Sequence[tuple[int, ...]],
-        workers: int,
-    ) -> list[list[bool]]:
-        """Shard-targeted process fan-out: ship versions and deltas, not bytes.
-
-        Candidates with work left are grouped by shard and each shard becomes
-        one worker task carrying the store's cheapest
-        :class:`~repro.protocol.shards.ShardShipment` (a spool-file reference
-        on first contact, a state-based delta afterwards, nothing but the
-        version handle when the shard is unchanged) plus the per-user
-        worklist.  Workers evaluate from their resident, already-deserialized
-        ciphertexts, so a warm pass pays no serialization at either end --
-        the term the unsharded path re-pays per call.  Pairing totals merge
-        into the parent counter bit-exactly, as in the unsharded path.
-
-        When the pool provider exposes an affinity dispatcher (see
-        :class:`repro.service.dispatch.AffinityDispatcher`), the pass is
-        routed through :meth:`_evaluate_process_affinity` instead: shards are
-        pinned to workers, deltas are computed against each worker's acked
-        version and plan changes re-prime the live pool in place.
-        """
-        jobs_by_shard: dict[int, list[tuple[int, str, tuple[int, ...]]]] = {}
-        for position, (candidate, need) in enumerate(zip(candidates, needed)):
-            if need:
-                shard = store.shard_of(candidate.user_id)
-                jobs_by_shard.setdefault(shard, []).append((position, candidate.user_id, need))
-        evaluated: list[list[bool]] = [[] for _ in candidates]
-        if not jobs_by_shard:
-            return evaluated
-
-        dispatcher = getattr(self.pools, "dispatcher", None)
-        if dispatcher is not None:
-            return self._evaluate_process_affinity(
-                dispatcher, evaluation, store, jobs_by_shard, evaluated
-            )
-
-        group = self.hve.group
-        self._require_process_backend(group)
-        payload = evaluation.payload()
-        stats = self.last_pass
-        tasks = []
-        ordered_shards = sorted(jobs_by_shard)
-        for shard_id in ordered_shards:
-            shipment = store.ship_plan(shard_id)
-            worklist = tuple((user_id, need) for _, user_id, need in jobs_by_shard[shard_id])
-            tasks.append((shipment.handle(), worklist))
-            stats.shards_shipped += 1
-            stats.bytes_shipped += shipment.bytes_shipped
-            stats.ciphertexts_shipped += shipment.record_count
-            if shipment.full_ship:
-                stats.shards_full += 1
-            else:
-                stats.shards_delta += 1
-                shipped_users = {user_id for user_id, _, _ in shipment.upserts}
-                stats.resident_hits += sum(
-                    1 for user_id, _ in worklist if user_id not in shipped_users
-                )
-        from repro.protocol.shards import CorruptShardShipment
-
-        try:
-            with self.pools.process_pool(
-                workers=min(workers, len(tasks)),
-                prime_version=evaluation.version,
-                initargs=(group_to_wire(group), self.hve.width, payload),
-            ) as pool:
-                futures = [pool.submit(_shard_worker_match, task) for task in tasks]
-                shard_results = [self._chunk_result(pool, future) for future in futures]
-        except CorruptShardShipment as exc:
-            # The spool file backing this shard's floor failed its checksum
-            # in the worker.  Drop the floor so the retry full-ships the
-            # shard from the live reports (rewriting a clean spool).
-            store.invalidate_floor(exc.shard_id)
-            raise
-        worker_pairings = 0
-        for shard_id, (rows, pairings, fused_evals, precomp_hits) in zip(
-            ordered_shards, shard_results
-        ):
-            worker_pairings += pairings
-            stats.fused_evals += fused_evals
-            stats.precomp_hits += precomp_hits
-            for (position, _, _), row in zip(jobs_by_shard[shard_id], rows):
-                evaluated[position] = row
-        group.counter.record_pairing(worker_pairings)
-        return evaluated
-
-    @staticmethod
-    def _record_transport(stats: PassStats, shipment, acked: Optional[int]) -> bool:
-        """Fold one shard shipment's *transport* facts into the pass receipts.
-
-        Recorded at shipping time -- these bytes/records genuinely travelled
-        even if the receiving worker later fails.  Returns whether the
-        shipment was an acked delta; the evaluation-dependent receipts
-        (``resident_hits``, ``affinity_hits``) are recorded separately, only
-        for shipments a worker actually evaluated from.
-        """
-        stats.shards_shipped += 1
-        stats.bytes_shipped += shipment.bytes_shipped
-        stats.ciphertexts_shipped += shipment.record_count
-        if shipment.full_ship:
-            stats.shards_full += 1
-            return False
-        if acked is not None and shipment.delta_base == acked:
-            stats.shards_acked += 1
-            stats.acked_delta_bytes += shipment.bytes_shipped
-            return True
-        stats.shards_delta += 1
-        return False
-
-    def _evaluate_process_affinity(
-        self,
-        dispatcher,
-        evaluation: _CachedEvaluation,
-        store,
-        jobs_by_shard: dict[int, list[tuple[int, str, tuple[int, ...]]]],
-        evaluated: list[list[bool]],
-    ) -> list[list[bool]]:
-        """Affinity-dispatched fan-out: pinned shards, acked deltas, live pool.
-
-        Each shard is routed to the worker lane the dispatcher's rendezvous
-        hash pins it to, and its shipment is computed against that worker's
-        *acked* version -- so a warm pass ships exactly the records the worker
-        has not applied yet (usually none), instead of the whole
-        floor->current span.  Plan changes were already handled by
-        :meth:`~repro.service.dispatch.AffinityDispatcher.ensure`, which
-        re-primes the live workers in place rather than restarting them, so
-        resident shards and warm OS pages survive plan churn.
-
-        Failure handling extends PR 4's broken-pool retry: a lane that cannot
-        anchor an acked delta (:class:`~repro.protocol.shards.StaleResidentShard`)
-        has its acks reset and is re-shipped from the spool floor within the
-        same pass; a corrupt spool (:class:`~repro.protocol.shards.CorruptShardShipment`)
-        additionally invalidates the floor so the re-ship rewrites it from the
-        live reports.  Every wait runs through the dispatcher's bounded
-        :meth:`~repro.service.dispatch.AffinityDispatcher.result_within` -- a
-        hung worker is killed at the task deadline, not awaited forever -- and
-        a lane whose stale-reset streak caps out is quarantined (respawned
-        under the same name) instead of re-shipped.  The terminal error of
-        each flavour propagates to :meth:`_with_resilience`, which retries the
-        whole pass against the respawned lanes or degrades inline.  Pairing
-        totals are merged only when every lane succeeded, keeping the counter
-        bit-exact with the inline path under retries.
-        """
-        from repro.protocol.shards import CorruptShardShipment, StaleResidentShard
-        from repro.service.resilience import LaneQuarantined, TaskDeadlineExceeded
-
-        group = self.hve.group
-        self._require_process_backend(group)
-        payload = evaluation.payload()
-        stats = self.last_pass
-        stats.inplace_reprimes += dispatcher.ensure(
-            prime_version=evaluation.version,
-            initargs=(group_to_wire(group), self.hve.width, payload),
-        )
-        token = store.store_token
-        per_lane: dict[Any, list[tuple[int, tuple, tuple]]] = {}
-        # Per shard: (worklist, users the applied shipment carried -- None for
-        # a full ship, where nothing is resident -- acked?).  These are the
-        # facts the evaluation-dependent receipts need, kept current when a
-        # stale lane forces a floor re-ship.
-        hit_facts: dict[int, tuple[tuple, Optional[set], bool]] = {}
-        for shard_id in sorted(jobs_by_shard):
-            lane = dispatcher.lane_for(token, shard_id)
-            acked = dispatcher.acked_version(lane, token, shard_id)
-            shipment = store.ship_plan(shard_id, acked_version=acked)
-            worklist = tuple((user_id, need) for _, user_id, need in jobs_by_shard[shard_id])
-            was_acked = self._record_transport(stats, shipment, acked)
-            shipped = None if shipment.full_ship else {u for u, _, _ in shipment.upserts}
-            hit_facts[shard_id] = (worklist, shipped, was_acked)
-            per_lane.setdefault(lane, []).append((shard_id, shipment.handle(), worklist))
-
-        futures = [
-            (
-                lane,
-                tasks,
-                dispatcher.submit(
-                    lane, _dispatch_worker_match, tuple((h, w) for _, h, w in tasks)
-                ),
-                time.perf_counter(),
-            )
-            for lane, tasks in per_lane.items()
-        ]
-        runtime = dispatcher.resilience
-        lane_results: list[tuple[Any, list, tuple]] = []
-        stale_lanes: list[tuple[Any, list, BaseException]] = []
-        broken_error: Optional[BaseException] = None
-        for lane, tasks, future, submitted in futures:
-            try:
-                lane_results.append(
-                    (lane, tasks, dispatcher.result_within(lane, future, label="match"))
-                )
-                # Load sample for the autoscaler: this lane's queue depth
-                # (shard-tasks this pass) and submit->receipt latency.
-                dispatcher.observe_load(lane, len(tasks), time.perf_counter() - submitted)
-            except StaleResidentShard as exc:
-                stale_lanes.append((lane, tasks, exc))
-            except (concurrent.futures.BrokenExecutor, TaskDeadlineExceeded) as exc:
-                # result_within already struck the lane and respawned it.
-                if broken_error is None:
-                    broken_error = exc
-        for lane, tasks, stale_exc in stale_lanes:
-            # The worker cannot anchor at least one acked delta (its resident
-            # state regressed without the parent noticing), or its spool
-            # failed its checksum.  A corrupt spool first invalidates the
-            # floor so the re-ship rewrites it from the live reports -- a
-            # floor re-ship of the same file would fail identically forever.
-            if isinstance(stale_exc, CorruptShardShipment):
-                store.invalidate_floor(stale_exc.shard_id)
-            if runtime.record_stale(lane.name):
-                # The lane's consecutive-stale streak capped out: quarantine
-                # it (respawn under the same name) rather than feed it yet
-                # another floor ship.  The replacement worker is unprimed, so
-                # this attempt cannot resubmit to it -- the pass-level retry
-                # re-runs through ensure() against the fresh lane.
-                dispatcher.mark_broken(lane)
-                if broken_error is None:
-                    broken_error = LaneQuarantined(
-                        f"lane {lane.name!r} hit the consecutive stale-reset cap "
-                        f"({runtime.policy.max_stale_resets}) and was quarantined",
-                        lane=lane.name,
-                    )
-                continue
-            # Reset the lane's acks for these shards and re-ship from the
-            # spool floor, which a cold resident can always bootstrap from.
-            retry: list[tuple[int, tuple, tuple]] = []
-            for shard_id, _, worklist in tasks:
-                dispatcher.clear_ack(lane, token, shard_id)
-                shipment = store.ship_plan(shard_id)
-                self._record_transport(stats, shipment, None)
-                # The re-ship supersedes the failed acked shipment: the hit
-                # receipts must describe what the worker actually evaluates.
-                shipped = None if shipment.full_ship else {u for u, _, _ in shipment.upserts}
-                hit_facts[shard_id] = (worklist, shipped, False)
-                retry.append((shard_id, shipment.handle(), worklist))
-            try:
-                retry_future = dispatcher.submit(
-                    lane, _dispatch_worker_match, tuple((h, w) for _, h, w in retry)
-                )
-            except concurrent.futures.BrokenExecutor as exc:
-                # submit() already respawned the lane.
-                if broken_error is None:
-                    broken_error = exc
-                continue
-            try:
-                lane_results.append(
-                    (lane, retry, dispatcher.result_within(lane, retry_future, label="re-ship"))
-                )
-            except StaleResidentShard as exc:
-                # The floor re-ship itself failed (e.g. the freshly written
-                # spool was corrupted again).  Repair what can be repaired
-                # and fail the attempt; the pass-level retry starts clean.
-                if isinstance(exc, CorruptShardShipment):
-                    store.invalidate_floor(exc.shard_id)
-                runtime.record_stale(lane.name)
-                if broken_error is None:
-                    broken_error = exc
-            except (concurrent.futures.BrokenExecutor, TaskDeadlineExceeded) as exc:
-                if broken_error is None:
-                    broken_error = exc
-        # Lanes that completed this attempt without needing a stale reset end
-        # their consecutive-stale streak (the satellite cap counts *unbroken*
-        # streaks across passes).
-        stale_names = {lane.name for lane, _, _ in stale_lanes}
-        for lane, _, _ in lane_results:
-            if lane.name not in stale_names:
-                runtime.clear_stale(lane.name)
-        # Acks are recorded even when another lane broke: these workers
-        # genuinely advanced their resident shards, and the session-level
-        # retry then ships them empty acked deltas.
-        for lane, _, (shard_rows, *_) in lane_results:
-            for shard_id, _, applied in shard_rows:
-                dispatcher.record_ack(lane, token, shard_id, applied)
-        if broken_error is not None:
-            raise broken_error
-
-        worker_pairings = 0
-        for lane, tasks, (shard_rows, pairings, fused_evals, precomp_hits) in lane_results:
-            worker_pairings += pairings
-            stats.fused_evals += fused_evals
-            stats.precomp_hits += precomp_hits
-            rows_by_shard = {shard_id: rows for shard_id, rows, _ in shard_rows}
-            for shard_id, _, _ in tasks:
-                for (position, _, _), row in zip(jobs_by_shard[shard_id], rows_by_shard[shard_id]):
-                    evaluated[position] = row
-                # Hit receipts describe only evaluations that actually ran,
-                # against the shipment the worker actually applied.
-                worklist, shipped, was_acked = hit_facts[shard_id]
-                if shipped is not None:
-                    stats.resident_hits += sum(
-                        1 for user_id, _ in worklist if user_id not in shipped
-                    )
-                if was_acked:
-                    stats.affinity_hits += len(worklist)
-        group.counter.record_pairing(worker_pairings)
-        # End of a successful pass: let the dispatcher act on the load
-        # samples (no-op unless an AutoscalePolicy is configured).
-        dispatcher.maybe_autoscale()
-        return evaluated
+        else:
+            evaluate = evaluation.evaluator
+            evaluated = []
+            for candidate, need in zip(candidates, needed):
+                shared: dict[int, bool] = {}
+                evaluated.append([evaluate(candidate.ciphertext, index, shared) for index in need])
+        self.last_pass.precomp_hits += group.precomp_hits - hits_before
+        for row, need, results in zip(rows, needed, evaluated):
+            for index, outcome in zip(need, results):
+                row[index] = outcome
+        return rows  # type: ignore[return-value]  # every None has been filled

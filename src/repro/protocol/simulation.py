@@ -45,20 +45,11 @@ class SimulationConfig:
     prime_bits: int = 48
     seed: int = 0
     matching_strategy: str = "planned"
-    workers: int = 1
-    executor: str = "thread"
     crypto_backend: Optional[str] = None
-    #: 0 keeps the unsharded store; > 0 deploys the sharded store (see
-    #: :class:`~repro.protocol.shards.ShardedCiphertextStore`).
-    shards: int = 0
 
     def __post_init__(self) -> None:
         if self.num_users < 1:
             raise ValueError("num_users must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.shards < 0:
-            raise ValueError("shards must be non-negative (0 keeps the unsharded store)")
         if not 0.0 <= self.move_probability <= 1.0:
             raise ValueError("move_probability must be in [0, 1]")
         if self.report_every_steps < 1:
@@ -131,8 +122,8 @@ class AlertServiceSimulation:
     still exposes the underlying
     :class:`~repro.protocol.alert_system.SecureAlertSystem`.  Pass
     ``service_config`` to tune session behaviour beyond what
-    :class:`SimulationConfig` carries (persistent pool, incremental
-    re-evaluation, report freshness); its crypto/matching fields must then
+    :class:`SimulationConfig` carries (incremental re-evaluation, report
+    freshness); its crypto/matching fields must then
     agree with the simulation config, which otherwise provides them via
     :meth:`ServiceConfig.from_simulation
     <repro.service.config.ServiceConfig.from_simulation>`.
@@ -234,7 +225,7 @@ class AlertServiceSimulation:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """End the underlying session (shuts down any persistent pool)."""
+        """End the underlying session (closes its journal, if any)."""
         self.service.close()
 
     def __enter__(self) -> "AlertServiceSimulation":

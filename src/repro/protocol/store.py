@@ -68,8 +68,8 @@ class CiphertextStore:
         #: the file predates state persistence or none was saved).
         self.matching_state: Optional[dict] = None
         #: Optional :class:`~repro.service.faults.FaultInjector` hook; the
-        #: session wires it in for chaos runs (snapshot tears here, plus the
-        #: spool faults in the sharded subclass).  ``None`` in production.
+        #: session wires it in for chaos runs (snapshot tears here).  ``None``
+        #: in production.
         self.fault_injector = None
 
     # ------------------------------------------------------------------
@@ -240,7 +240,7 @@ class BatchMatcher:
     All evaluation is delegated to a
     :class:`~repro.protocol.matching.MatchingEngine` (planned strategy by
     default); pass ``options=MatchingOptions(...)`` to select the naive
-    parity path, worker threads or incremental re-evaluation, or inject a
+    parity path or incremental re-evaluation, or inject a
     pre-built ``engine`` (e.g. the service provider's, to share incremental
     state).
     """

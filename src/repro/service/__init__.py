@@ -3,9 +3,9 @@
 A deployment talks to one long-lived :class:`~repro.service.service.AlertService`
 built from a single :class:`~repro.service.config.ServiceConfig`, sends it the
 typed requests of :mod:`repro.service.requests` and receives typed responses.
-The session owns the matching engine, the ciphertext store and a persistent
-executor pool that is re-primed only when the token plan changes -- the
-properties that make high-frequency small batches cheap.
+The session owns the matching engine and the ciphertext store, and keeps
+standing zones' token plans (and their packed worklists) warm across ticks --
+the properties that make high-frequency small batches cheap.
 
 The legacy front doors (:class:`~repro.core.pipeline.SecureAlertPipeline`,
 :class:`~repro.protocol.simulation.AlertServiceSimulation`) are thin adapters
@@ -13,17 +13,9 @@ over this package.
 """
 
 from repro.service.config import NetOptions, ServiceConfig, ServiceConfigBuilder
-from repro.service.dispatch import AffinityDispatcher, WorkerLane
-from repro.service.executor import PersistentExecutorPool
 from repro.service.faults import ChaosSoakOutcome, FaultInjector, FaultPlan, run_chaos_soak
 from repro.service.admission import AdmissionDecision, AdmissionLedger
 from repro.service.journal import JournalWriteError, RequestJournal
-from repro.service.resilience import (
-    LaneQuarantined,
-    ResiliencePolicy,
-    ResilienceRuntime,
-    TaskDeadlineExceeded,
-)
 from repro.service.requests import (
     ClientHello,
     ErrorResponse,
@@ -50,12 +42,9 @@ from repro.service.service import AlertService, SessionStats, StandingZone
 
 __all__ = [
     "AlertService",
-    "AffinityDispatcher",
     "NetOptions",
     "ServiceConfig",
     "ServiceConfigBuilder",
-    "PersistentExecutorPool",
-    "WorkerLane",
     "SessionStats",
     "StandingZone",
     "Subscribe",
@@ -76,10 +65,6 @@ __all__ = [
     "request_from_wire",
     "response_to_wire",
     "response_from_wire",
-    "ResiliencePolicy",
-    "ResilienceRuntime",
-    "TaskDeadlineExceeded",
-    "LaneQuarantined",
     "FaultPlan",
     "FaultInjector",
     "ChaosSoakOutcome",

@@ -6,8 +6,8 @@ overlapping surfaces -- :class:`~repro.core.pipeline.PipelineConfig`,
 :class:`~repro.protocol.matching.MatchingOptions` -- each plumbing a subset of
 the same knobs.  :class:`ServiceConfig` subsumes them: one frozen dataclass
 covering the deployment (scheme, primes, backend), the matching engine
-(strategy, order, dedupe/subsume, workers, executor) and the session itself
-(persistent pool, incremental re-evaluation, report freshness).
+(strategy, order, dedupe/subsume, incremental re-evaluation) and the session
+itself (report freshness, journal, fault injection, network tier).
 
 Every validator raises ``ValueError`` naming *all* recognised choices, so a
 typo tells the operator what would have worked.  :class:`ServiceConfigBuilder`
@@ -23,12 +23,7 @@ from typing import Any, Optional
 
 from repro.crypto.backends import backend_names
 from repro.encoding import SCHEME_NAMES, canonical_scheme_name
-from repro.protocol.matching import (
-    EXECUTORS,
-    MATCHING_STRATEGIES,
-    TOKEN_ORDERS,
-    MatchingOptions,
-)
+from repro.protocol.matching import MATCHING_STRATEGIES, TOKEN_ORDERS, MatchingOptions
 
 __all__ = ["NetOptions", "ServiceConfig", "ServiceConfigBuilder"]
 
@@ -172,72 +167,19 @@ class ServiceConfig:
     ---------------
     matching_strategy / token_order / dedupe / subsume:
         See :class:`~repro.protocol.matching.MatchingOptions`.
-    workers / executor / chunk_size:
-        Chunked matching over the store; ``executor="process"`` scales with
-        cores at the price of serialization.
     incremental:
         Remember per-(user, alert) outcomes keyed by sequence number so
         standing zones re-evaluate only users whose ciphertext changed.
 
     Session
     -------
-    persistent_pool:
-        Keep one long-lived executor pool for the whole session, re-primed
-        only when the token plan changes (instead of a fresh pool per call).
     max_age_seconds:
         Reports older than this are excluded from matching (``None`` disables
         expiry).
-    shards:
-        ``0`` (default) keeps the single unsharded
-        :class:`~repro.protocol.store.CiphertextStore`.  A positive count
-        deploys a :class:`~repro.protocol.shards.ShardedCiphertextStore`:
-        reports hash into that many versioned shards, the process executor
-        ships each shard to workers once (then only deltas), and incremental
-        mode gains per-zone dirty-index targeting.  Raise it to at least the
-        worker count so every process worker has a shard-task per pass;
-        beyond that, more shards mean finer deltas at slightly more per-pass
-        task overhead.
-    affinity:
-        Route sharded process passes through the
-        :class:`~repro.service.dispatch.AffinityDispatcher` (default): each
-        shard is pinned to one worker by rendezvous hashing, deltas are
-        computed against that worker's acked version, and plan changes
-        re-prime the live pool in place instead of restarting it.  ``False``
-        falls back to the PR 4 ``pool.map`` path (useful for A/B parity and
-        benchmarks).  Only meaningful with ``executor="process"``,
-        ``workers > 1``, ``shards > 0`` and a persistent pool.
-    ack_deltas:
-        Keep the per-worker acked-version handshake (default).  ``False``
-        ships floor-based deltas as PR 4 did while keeping affinity routing
-        and in-place re-priming -- isolates the handshake's contribution.
-    autoscale + autoscale_* knobs:
-        Load-driven lane resizing for the affinity dispatcher.  When
-        ``autoscale`` is on, the engine samples per-lane queue depth and
-        receipt latency each sharded pass and the dispatcher grows/shrinks
-        its lane set between ``autoscale_min_lanes`` and
-        ``autoscale_max_lanes`` (riding the minimal-movement ``resize()``),
-        with hysteresis: growth re-arms only after
-        ``autoscale_cooldown_passes`` quiet passes, shrink only after
-        ``autoscale_calm_passes`` consecutive calm passes.  See
-        :class:`~repro.service.resilience.AutoscalePolicy` for the threshold
-        semantics.  Only meaningful where affinity dispatch is (process
-        executor, shards > 0).
-
-    Resilience
-    ----------
-    task_deadline_seconds / max_retries / backoff_base_seconds /
-    quarantine_strikes / quarantine_passes / max_stale_resets / degrade_inline:
-        The :class:`~repro.service.resilience.ResiliencePolicy` knobs (see
-        that class for semantics): every worker wait is bounded by the task
-        deadline, failing process passes are retried with backoff up to
-        ``max_retries`` times, a lane accumulating ``quarantine_strikes``
-        failures (or ``max_stale_resets`` consecutive stale resets) is
-        quarantined, and an exhausted pass degrades to inline evaluation when
-        ``degrade_inline`` is on.
     faults / fault_seed:
         Fault-injection spec for chaos runs (see
         :meth:`~repro.service.faults.FaultPlan.parse`), e.g.
-        ``"kill=0.05,hang=0.02,corrupt_spool=0.06"``, with a seed making the
+        ``"torn_snapshot=1,fsync_delay=0.1"``, with a seed making the
         run a named reproducible workload.  ``None`` (default) injects
         nothing and adds zero overhead to the hot paths.
     journal_path:
@@ -267,31 +209,8 @@ class ServiceConfig:
     token_order: str = "cheapest"
     dedupe: bool = True
     subsume: bool = True
-    workers: int = 1
-    executor: str = "thread"
-    chunk_size: Optional[int] = None
     incremental: bool = False
-    persistent_pool: bool = True
     max_age_seconds: Optional[float] = None
-    shards: int = 0
-    affinity: bool = True
-    ack_deltas: bool = True
-    autoscale: bool = False
-    autoscale_min_lanes: int = 1
-    autoscale_max_lanes: int = 8
-    autoscale_grow_depth: float = 2.0
-    autoscale_grow_latency_ms: float = 0.0
-    autoscale_shrink_depth: float = 0.75
-    autoscale_cooldown_passes: int = 2
-    autoscale_calm_passes: int = 5
-    autoscale_step: int = 1
-    task_deadline_seconds: Optional[float] = 60.0
-    max_retries: int = 2
-    backoff_base_seconds: float = 0.05
-    quarantine_strikes: int = 3
-    quarantine_passes: int = 2
-    max_stale_resets: int = 3
-    degrade_inline: bool = True
     faults: Optional[str] = None
     fault_seed: int = 0
     journal_path: Optional[str] = None
@@ -311,7 +230,6 @@ class ServiceConfig:
         object.__setattr__(self, "scheme", canonical_scheme_name(self.scheme))
         _require_choice(self.matching_strategy, MATCHING_STRATEGIES, "matching strategy")
         _require_choice(self.token_order, TOKEN_ORDERS, "token order")
-        _require_choice(self.executor, EXECUTORS, "executor")
         if self.crypto_backend is not None:
             names = tuple(backend_names())
             if self.crypto_backend not in names:
@@ -323,19 +241,10 @@ class ServiceConfig:
             raise ValueError("alphabet_size must be at least 2")
         if self.prime_bits < 16:
             raise ValueError("prime_bits must be at least 16")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1 (or None to split evenly)")
         if self.max_age_seconds is not None and self.max_age_seconds <= 0:
             raise ValueError("max_age_seconds must be positive (or None to disable expiry)")
-        if self.shards < 0:
-            raise ValueError("shards must be non-negative (0 keeps the unsharded store)")
-        # Fail on bad resilience/fault/autoscale values at construction, with
-        # the specialised validators' own messages.
-        self.resilience_policy()
+        # Fail on a bad fault spec at construction, with the parser's message.
         self.fault_plan()
-        self.autoscale_policy()
 
     # ------------------------------------------------------------------
     # Derived views
@@ -347,24 +256,7 @@ class ServiceConfig:
             order=self.token_order,
             dedupe=self.dedupe,
             subsume=self.subsume,
-            workers=self.workers,
-            executor=self.executor,
-            chunk_size=self.chunk_size,
             incremental=self.incremental,
-        )
-
-    def resilience_policy(self):
-        """The :class:`~repro.service.resilience.ResiliencePolicy` this config implies."""
-        from repro.service.resilience import ResiliencePolicy
-
-        return ResiliencePolicy(
-            task_deadline_seconds=self.task_deadline_seconds,
-            max_retries=self.max_retries,
-            backoff_base_seconds=self.backoff_base_seconds,
-            quarantine_strikes=self.quarantine_strikes,
-            quarantine_passes=self.quarantine_passes,
-            max_stale_resets=self.max_stale_resets,
-            degrade_inline=self.degrade_inline,
         )
 
     def fault_plan(self):
@@ -375,23 +267,6 @@ class ServiceConfig:
 
         return FaultPlan.parse(self.faults, seed=self.fault_seed)
 
-    def autoscale_policy(self):
-        """The :class:`~repro.service.resilience.AutoscalePolicy`, or None when off."""
-        if not self.autoscale:
-            return None
-        from repro.service.resilience import AutoscalePolicy
-
-        return AutoscalePolicy(
-            min_lanes=self.autoscale_min_lanes,
-            max_lanes=self.autoscale_max_lanes,
-            grow_depth=self.autoscale_grow_depth,
-            grow_latency_ms=self.autoscale_grow_latency_ms,
-            shrink_depth=self.autoscale_shrink_depth,
-            cooldown_passes=self.autoscale_cooldown_passes,
-            calm_passes=self.autoscale_calm_passes,
-            step=self.autoscale_step,
-        )
-
     # ------------------------------------------------------------------
     # Legacy translations
     # ------------------------------------------------------------------
@@ -401,9 +276,6 @@ class ServiceConfig:
 
         Duck-typed on purpose: importing the pipeline here would create an
         import cycle (the pipeline is an adapter over the service).
-        ``persistent_pool`` is off: legacy pipeline call sites predate
-        ``close()`` and must keep the seed's per-call pool lifetime instead of
-        accumulating long-lived worker processes they never shut down.
         """
         return cls(
             scheme=config.scheme,
@@ -412,29 +284,16 @@ class ServiceConfig:
             seed=config.seed,
             crypto_backend=config.crypto_backend,
             matching_strategy=config.matching_strategy,
-            workers=config.workers,
-            executor=config.executor,
-            persistent_pool=False,
-            shards=getattr(config, "shards", 0),
         )
 
     @classmethod
     def from_simulation(cls, config: Any) -> "ServiceConfig":
-        """Translate a :class:`~repro.protocol.simulation.SimulationConfig`.
-
-        ``persistent_pool`` is off for the same lifetime reason as
-        :meth:`from_pipeline`; pass an explicit ``service_config`` to the
-        simulation to opt into session pooling.
-        """
+        """Translate a :class:`~repro.protocol.simulation.SimulationConfig`."""
         return cls(
             prime_bits=config.prime_bits,
             seed=config.seed,
             crypto_backend=config.crypto_backend,
             matching_strategy=config.matching_strategy,
-            workers=config.workers,
-            executor=config.executor,
-            persistent_pool=False,
-            shards=getattr(config, "shards", 0),
         )
 
     @staticmethod
@@ -454,7 +313,6 @@ class ServiceConfigBuilder:
             ServiceConfig.builder()
             .with_scheme("huffman")
             .with_crypto(prime_bits=48, seed=7)
-            .with_executor(executor="process", workers=4)
             .with_matching(incremental=True)
             .build()
         )
@@ -504,81 +362,13 @@ class ServiceConfigBuilder:
             incremental=incremental,
         )
 
-    def with_executor(
-        self,
-        executor: Any = _UNSET,
-        workers: Any = _UNSET,
-        chunk_size: Any = _UNSET,
-        persistent_pool: Any = _UNSET,
-        affinity: Any = _UNSET,
-        ack_deltas: Any = _UNSET,
-    ) -> "ServiceConfigBuilder":
-        """Configure chunked matching: pool flavour, size, lifetime, dispatch."""
-        return self._set(
-            executor=executor,
-            workers=workers,
-            chunk_size=chunk_size,
-            persistent_pool=persistent_pool,
-            affinity=affinity,
-            ack_deltas=ack_deltas,
-        )
-
     def with_store(
         self,
         max_age_seconds: Any = _UNSET,
-        shards: Any = _UNSET,
         journal_path: Any = _UNSET,
     ) -> "ServiceConfigBuilder":
-        """Configure the ciphertext store: freshness, sharding, WAL journal."""
-        return self._set(
-            max_age_seconds=max_age_seconds, shards=shards, journal_path=journal_path
-        )
-
-    def with_resilience(
-        self,
-        task_deadline_seconds: Any = _UNSET,
-        max_retries: Any = _UNSET,
-        backoff_base_seconds: Any = _UNSET,
-        quarantine_strikes: Any = _UNSET,
-        quarantine_passes: Any = _UNSET,
-        max_stale_resets: Any = _UNSET,
-        degrade_inline: Any = _UNSET,
-    ) -> "ServiceConfigBuilder":
-        """Configure deadlines, retries, quarantine and degradation."""
-        return self._set(
-            task_deadline_seconds=task_deadline_seconds,
-            max_retries=max_retries,
-            backoff_base_seconds=backoff_base_seconds,
-            quarantine_strikes=quarantine_strikes,
-            quarantine_passes=quarantine_passes,
-            max_stale_resets=max_stale_resets,
-            degrade_inline=degrade_inline,
-        )
-
-    def with_autoscale(
-        self,
-        enabled: Any = _UNSET,
-        min_lanes: Any = _UNSET,
-        max_lanes: Any = _UNSET,
-        grow_depth: Any = _UNSET,
-        grow_latency_ms: Any = _UNSET,
-        shrink_depth: Any = _UNSET,
-        cooldown_passes: Any = _UNSET,
-        calm_passes: Any = _UNSET,
-        step: Any = _UNSET,
-    ) -> "ServiceConfigBuilder":
-        """Configure load-driven lane resizing for the affinity dispatcher."""
-        return self._set(
-            autoscale=enabled,
-            autoscale_min_lanes=min_lanes,
-            autoscale_max_lanes=max_lanes,
-            autoscale_grow_depth=grow_depth,
-            autoscale_grow_latency_ms=grow_latency_ms,
-            autoscale_shrink_depth=shrink_depth,
-            autoscale_cooldown_passes=cooldown_passes,
-            autoscale_calm_passes=calm_passes,
-            autoscale_step=step,
-        )
+        """Configure the ciphertext store: freshness and WAL journal."""
+        return self._set(max_age_seconds=max_age_seconds, journal_path=journal_path)
 
     def with_faults(self, faults: Any = _UNSET, fault_seed: Any = _UNSET) -> "ServiceConfigBuilder":
         """Configure fault injection for a reproducible chaos run."""

@@ -1,28 +1,12 @@
-"""Seeded, deterministic fault injection for the matching service.
+"""Seeded, deterministic fault injection for the alert service.
 
-The dispatch/shard tests always exercised failure edges ad hoc -- SIGKILL a
-worker here, forge an ack there -- each with its own bespoke setup.  This
-module promotes that discipline to a subsystem: a :class:`FaultPlan` is a
-named, reproducible chaos workload (probabilities and budgets drawn from
-seeded per-site streams), and a :class:`FaultInjector` applies it through
-explicit hooks in the production code paths:
+A :class:`FaultPlan` is a named, reproducible chaos workload (probabilities
+and budgets drawn from seeded per-site streams), and a :class:`FaultInjector`
+applies it through explicit hooks in the production code paths:
 
 =======================  =====================================================
 fault                    injection site
 =======================  =====================================================
-``kill``                 :meth:`AffinityDispatcher.submit` -- SIGKILL one of
-                         the lane's worker processes before the task goes out
-``hang`` / ``delay``     same site -- the task is wrapped in
-                         :func:`_delayed_call` so the *worker* sleeps before
-                         executing (``hang`` is meant to exceed the policy
-                         deadline, ``delay`` to stay under it)
-``drop_ack``             the ack path -- the parent forgets to record a
-                         version the worker acknowledged
-``corrupt_ack``          same site -- the recorded version is perturbed, so a
-                         later delta anchors on state the worker never had
-``corrupt_spool``        :meth:`ShardedCiphertextStore._write_spool` -- bytes
-                         of the spool file are flipped after the write
-``truncate_spool``       same site -- the spool file is cut short
 ``torn_snapshot``        :meth:`CiphertextStore.save` and
                          :meth:`AlertService.snapshot` -- the write "crashes"
                          after emitting half the payload (a budgeted count,
@@ -42,17 +26,21 @@ fault                    injection site
                          a journal append (or group-commit batch) is delayed
                          by ``fsync_delay_seconds``, modelling slow durable
                          storage; the sync still happens, so no outcome moves
+``journal_write_fail``   the journal's appends -- the write fails before any
+                         byte lands, so the affected requests are answered
+                         with a typed error instead of executing
 =======================  =====================================================
 
 Every stream is seeded per site, so a plan replays bit-identically: the same
 spec + seed fires the same faults at the same points of the same workload.
-The injector never changes *what* the service computes -- the acceptance bar
-for the whole resilience layer is that a chaos run's notifications and
-pairing totals stay bit-exact against the fault-free run
-(:func:`run_chaos_soak` checks exactly that).
+Apart from ``journal_write_fail`` (which fails the affected requests, and so
+belongs in dedicated failure tests) the injector never changes *what* the
+service computes: a chaos run's notifications and pairing totals stay
+bit-exact against the fault-free run (:func:`run_chaos_soak` checks exactly
+that).
 
-Plans are written as compact specs -- ``"kill=0.05,hang=0.02,drop_ack=0.1,
-torn_snapshot=1"`` -- accepted by ``ServiceConfig(faults=...)`` and the CLI's
+Plans are written as compact specs -- ``"torn_snapshot=1,fsync_delay=0.1"``
+-- accepted by ``ServiceConfig(faults=...)`` and the CLI's
 ``--faults`` flag; see :meth:`FaultPlan.parse`.
 """
 
@@ -60,15 +48,13 @@ from __future__ import annotations
 
 import collections
 import json
-import os
 import pathlib
 import random
-import signal
 import tempfile
 import time
 import zlib
 from dataclasses import dataclass, fields, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "InjectedFault",
@@ -84,56 +70,27 @@ class InjectedFault(RuntimeError):
     """An error raised *by* the harness to simulate a crash (e.g. torn write)."""
 
 
-def _delayed_call(seconds: float, fn: Callable, *args):
-    """Run ``fn(*args)`` after sleeping -- the picklable hang/delay wrapper.
-
-    Submitted in place of the real worker task so the sleep happens *inside*
-    the worker process: a ``hang`` occupies the lane exactly like a stuck
-    pairing computation would, and is only recoverable by the deadline +
-    kill path, not by anything the parent does to the future.
-    """
-    time.sleep(seconds)
-    return fn(*args)
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded chaos workload: per-site fault probabilities and budgets.
 
-    The ``kill``/``hang``/``delay`` fields are per-lane-task probabilities,
-    ``drop_ack``/``corrupt_ack`` per-ack, ``corrupt_spool``/``truncate_spool``
-    per-spool-write.  ``torn_snapshots`` is a *budget*: the first N snapshot
+    The network fields are per-frame probabilities and the journal fields
+    per-append (or per-sync) probabilities.  ``torn_snapshots`` is a *budget*: the first N snapshot
     saves crash mid-write, later ones succeed -- chaos scenarios usually want
     "exactly one torn snapshot", not a coin flip per checkpoint.
     """
 
-    kill: float = 0.0
-    hang: float = 0.0
-    delay: float = 0.0
-    drop_ack: float = 0.0
-    corrupt_ack: float = 0.0
-    corrupt_spool: float = 0.0
-    truncate_spool: float = 0.0
     torn_snapshots: int = 0
     conn_drop: float = 0.0
     frame_corrupt: float = 0.0
     slow_client: float = 0.0
     fsync_delay: float = 0.0
     journal_write_fail: float = 0.0
-    hang_seconds: float = 15.0
-    delay_seconds: float = 0.02
     slow_client_seconds: float = 0.05
     fsync_delay_seconds: float = 0.02
     seed: int = 0
 
     _PROBABILITIES = (
-        "kill",
-        "hang",
-        "delay",
-        "drop_ack",
-        "corrupt_ack",
-        "corrupt_spool",
-        "truncate_spool",
         "conn_drop",
         "frame_corrupt",
         "slow_client",
@@ -148,20 +105,12 @@ class FaultPlan:
                 raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
         if self.torn_snapshots < 0:
             raise ValueError("torn_snapshots must be non-negative")
-        if (
-            self.hang_seconds < 0
-            or self.delay_seconds < 0
-            or self.slow_client_seconds < 0
-            or self.fsync_delay_seconds < 0
-        ):
-            raise ValueError(
-                "hang_seconds/delay_seconds/slow_client_seconds/fsync_delay_seconds "
-                "must be non-negative"
-            )
+        if self.slow_client_seconds < 0 or self.fsync_delay_seconds < 0:
+            raise ValueError("slow_client_seconds/fsync_delay_seconds must be non-negative")
 
     @classmethod
     def parse(cls, spec: str, seed: int = 0) -> "FaultPlan":
-        """Parse a ``"kill=0.05,drop_ack=0.1,torn_snapshot=1"`` spec string.
+        """Parse a ``"conn_drop=0.05,fsync_delay=0.1,torn_snapshot=1"`` spec string.
 
         Keys are the dataclass field names; ``torn_snapshot`` is accepted as
         an alias for ``torn_snapshots``.  An empty spec is the null plan.
@@ -206,14 +155,14 @@ class FaultPlan:
 class FaultInjector:
     """Applies a :class:`FaultPlan` through the hooks in the service layers.
 
-    One injector is shared by everything in a session (dispatcher, sharded
-    store, plain store, service snapshot path).  Each fault site draws from
+    One injector is shared by everything in a session (store and service
+    snapshot paths, journal, network server).  Each fault site draws from
     its own :class:`random.Random` stream seeded from ``plan.seed`` and the
     site name, so adding a fault type never perturbs when the others fire.
     ``counts`` records what actually fired, for assertions and CLI reports.
     """
 
-    _SITES = ("lane", "ack", "spool", "snapshot", "net", "journal", "journal_write")
+    _SITES = ("snapshot", "net", "journal", "journal_write")
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
@@ -223,107 +172,6 @@ class FaultInjector:
         }
         self._torn_remaining = plan.torn_snapshots
         self.counts: collections.Counter = collections.Counter()
-
-    # ------------------------------------------------------------------
-    # Lane tasks (AffinityDispatcher.submit)
-    # ------------------------------------------------------------------
-    def lane_task(self, lane_name: str) -> Optional[Tuple]:
-        """Decide the fate of one lane task: None, ("kill",), ("hang"|"delay", s)."""
-        rng = self._rngs["lane"]
-        roll = rng.random()
-        if roll < self.plan.kill:
-            self.counts["kill"] += 1
-            return ("kill",)
-        roll -= self.plan.kill
-        if roll < self.plan.hang:
-            self.counts["hang"] += 1
-            return ("hang", self.plan.hang_seconds)
-        roll -= self.plan.hang
-        if roll < self.plan.delay:
-            self.counts["delay"] += 1
-            return ("delay", self.plan.delay_seconds)
-        return None
-
-    @staticmethod
-    def kill_lane_process(lane) -> bool:
-        """SIGKILL one live worker process of ``lane``; True when one died.
-
-        The dispatcher calls this when :meth:`lane_task` returns ``("kill",)``
-        -- the same murder the SIGKILL regression test commits by hand.
-        """
-        executor = getattr(lane, "executor", None)
-        processes = list(getattr(executor, "_processes", {}).values()) if executor else []
-        for process in processes:
-            if process.is_alive() and process.pid is not None:
-                os.kill(process.pid, signal.SIGKILL)
-                deadline = time.time() + 5.0
-                while process.is_alive() and time.time() < deadline:
-                    time.sleep(0.005)
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    # Acks (AffinityDispatcher.record_ack)
-    # ------------------------------------------------------------------
-    def ack_action(self, lane_name: str, version: int) -> Tuple[bool, int]:
-        """Filter one ack record: returns ``(record_it, version_to_record)``.
-
-        A dropped ack is simply never recorded (the handshake is idempotent:
-        the next ship just carries a larger delta).  A corrupted ack records
-        a perturbed version -- out-of-range values are rejected by the ship
-        planner's anchor guard, in-range-but-wrong values make the worker
-        raise ``StaleResidentShard`` and get a floor reship.  Either way the
-        protocol outcome is unchanged.
-        """
-        rng = self._rngs["ack"]
-        roll = rng.random()
-        if roll < self.plan.drop_ack:
-            self.counts["drop_ack"] += 1
-            return (False, version)
-        roll -= self.plan.drop_ack
-        if roll < self.plan.corrupt_ack:
-            self.counts["corrupt_ack"] += 1
-            offset = rng.choice((-3, -2, -1, 1, 2, 5))
-            return (True, max(0, version + offset))
-        return (True, version)
-
-    # ------------------------------------------------------------------
-    # Spool files (ShardedCiphertextStore._write_spool)
-    # ------------------------------------------------------------------
-    def spool_written(self, path) -> Optional[str]:
-        """Maybe mangle a freshly written spool file; returns the fault name.
-
-        ``corrupt`` flips a byte run in the middle of the file, ``truncate``
-        cuts it short -- both are caught by the worker-side CRC check and
-        repaired through the floor-invalidation reship path.
-        """
-        rng = self._rngs["spool"]
-        roll = rng.random()
-        fault: Optional[str] = None
-        if roll < self.plan.corrupt_spool:
-            fault = "corrupt_spool"
-        else:
-            roll -= self.plan.corrupt_spool
-            if roll < self.plan.truncate_spool:
-                fault = "truncate_spool"
-        if fault is None:
-            return None
-        spool = pathlib.Path(path)
-        try:
-            blob = spool.read_bytes()
-        except OSError:
-            return None
-        if len(blob) < 4:
-            return None
-        if fault == "corrupt_spool":
-            at = rng.randrange(len(blob) // 4, max(len(blob) // 4 + 1, 3 * len(blob) // 4))
-            mangled = bytes((b ^ 0xA5) for b in blob[at : at + 8])
-            blob = blob[:at] + mangled + blob[at + len(mangled) :]
-        else:
-            blob = blob[: max(2, len(blob) // 2)]
-        spool.write_bytes(blob)
-        self.counts[fault] += 1
-        return fault
 
     # ------------------------------------------------------------------
     # Network frames (AlertServiceServer read/write paths)
@@ -411,10 +259,7 @@ class FaultInjector:
 # ----------------------------------------------------------------------
 # Chaos soak driver (shared by the test suite and the CLI)
 # ----------------------------------------------------------------------
-DEFAULT_CHAOS_SPEC = (
-    "kill=0.05,hang=0.02,delay=0.06,drop_ack=0.10,corrupt_ack=0.05,"
-    "corrupt_spool=0.06,truncate_spool=0.03,torn_snapshot=1,fsync_delay=0.10"
-)
+DEFAULT_CHAOS_SPEC = "torn_snapshot=1,fsync_delay=0.10"
 
 
 @dataclass
@@ -428,9 +273,7 @@ class ChaosSoakOutcome:
     baseline_passes: List[Tuple[Tuple[str, ...], int]]
     faulted_passes: List[Tuple[Tuple[str, ...], int]]
     fault_counts: dict
-    resilience: dict
     snapshots_intact: bool
-    leaked_processes: int
     baseline_pairings: int = 0
     faulted_pairings: int = 0
     stats: object = None
@@ -438,14 +281,11 @@ class ChaosSoakOutcome:
     def summary(self) -> str:
         verdict = "BIT-EXACT" if self.matched else "DIVERGED"
         fired = ", ".join(f"{k}={v}" for k, v in sorted(self.fault_counts.items())) or "none"
-        resil = ", ".join(f"{k}={v}" for k, v in sorted(self.resilience.items()))
         return (
             f"chaos soak: {self.steps} steps, seed {self.seed} -> {verdict} "
             f"(pairings {self.faulted_pairings} vs {self.baseline_pairings})\n"
             f"  faults fired: {fired}\n"
-            f"  resilience:   {resil}\n"
-            f"  snapshots intact: {self.snapshots_intact}; "
-            f"leaked processes: {self.leaked_processes}"
+            f"  snapshots intact: {self.snapshots_intact}"
         )
 
 
@@ -494,7 +334,7 @@ def _run_scripted_session(
         service.publish_zone(
             PublishZone(alert_id="zone-a", zone=AlertZone(cell_ids=(5, 6, 7, 11)), evaluate=False)
         )
-        service.evaluate_standing()  # cold pass primes the lanes
+        service.evaluate_standing()  # cold pass builds the plan
         extra_zone = False
         for step, (action, cell) in enumerate(script):
             if action == "move":
@@ -534,20 +374,13 @@ def run_chaos_soak(
     seed: int = 7,
     faults: str = DEFAULT_CHAOS_SPEC,
     users: int = 10,
-    shards: int = 6,
-    workers: int = 2,
-    task_deadline: float = 1.5,
-    hang_seconds: float = 12.0,
 ) -> ChaosSoakOutcome:
     """Run one scripted warm session twice -- fault-free and under ``faults``.
 
     The two runs share the scenario, the crypto seed, and the step script;
-    only the injector differs.  The verdict is the resilience layer's core
-    guarantee: notifications *and* pairing totals bit-exact, snapshots never
-    torn, no worker process leaked.
+    only the injector differs.  The verdict: notifications *and* pairing
+    totals bit-exact, and snapshots never torn.
     """
-    import multiprocessing
-
     from repro.datasets.synthetic import make_synthetic_scenario
     from repro.service.config import ServiceConfig
 
@@ -555,22 +388,8 @@ def run_chaos_soak(
         rows=6, cols=6, sigmoid_a=0.9, sigmoid_b=20, seed=31, extent_meters=600.0
     )
     script = _chaos_script(steps, seed, scenario.grid.n_cells, users)
-    base_kwargs = dict(
-        prime_bits=32,
-        seed=19,
-        incremental=False,
-        shards=shards,
-        workers=workers,
-        executor="process",
-        task_deadline_seconds=task_deadline,
-        max_retries=2,
-        quarantine_strikes=2,
-        degrade_inline=True,
-    )
+    base_kwargs = dict(prime_bits=32, seed=19, incremental=False)
     fault_spec = faults or ""
-    plan = FaultPlan.parse(fault_spec, seed=seed)
-    if plan.hang > 0:
-        fault_spec = f"{fault_spec},hang_seconds={hang_seconds}"
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         tmp_path = pathlib.Path(tmp)
         baseline_dir = tmp_path / "baseline"
@@ -594,22 +413,8 @@ def run_chaos_soak(
         faulted_passes, faulted_stats, faulted_intact, service = _run_scripted_session(
             scenario, faulted_config, script, users, faulted_dir
         )
-    # Give SIGKILLed/shut-down workers a beat to be reaped, then count leaks.
-    deadline = time.time() + 5.0
-    children = multiprocessing.active_children()
-    while children and time.time() < deadline:
-        time.sleep(0.05)
-        children = multiprocessing.active_children()
     injector = getattr(service, "fault_injector", None)
     fault_counts = dict(injector.counts) if injector is not None else {}
-    resilience = {
-        "retries": getattr(faulted_stats, "retries", 0),
-        "deadline_hits": getattr(faulted_stats, "deadline_hits", 0),
-        "quarantines": getattr(faulted_stats, "quarantines", 0),
-        "degraded_passes": getattr(faulted_stats, "degraded_passes", 0),
-        "stale_resets": getattr(faulted_stats, "stale_resets", 0),
-        "pool_rebuilds": getattr(faulted_stats, "pool_rebuilds", 0),
-    }
     return ChaosSoakOutcome(
         steps=steps,
         seed=seed,
@@ -618,9 +423,7 @@ def run_chaos_soak(
         baseline_passes=baseline_passes,
         faulted_passes=faulted_passes,
         fault_counts=fault_counts,
-        resilience=resilience,
         snapshots_intact=baseline_intact and faulted_intact,
-        leaked_processes=len(children),
         baseline_pairings=sum(p for _, p in baseline_passes),
         faulted_pairings=sum(p for _, p in faulted_passes),
         stats=faulted_stats,

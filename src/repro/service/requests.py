@@ -4,7 +4,7 @@ The session API is message-shaped: every operation a deployment performs is a
 small frozen dataclass handed to the service, and every outcome is a typed
 response.  This mirrors how the protocol itself flows (location updates in,
 token batches in, notifications out) and gives integrators a stable, explicit
-surface -- the service facade can evolve its internals (planning, pooling,
+surface -- the service facade can evolve its internals (planning, packing,
 incremental caches) without touching these types.
 
 Requests
@@ -25,7 +25,7 @@ Responses
 ---------
 * :class:`IngestReceipt` -- what happened to one ingested update.
 * :class:`MatchReport` -- outcome of an evaluation pass, including the
-  session-health facts (plan reuse, pool re-prime) the observer metrics also
+  session-health facts (plan reuse, per-pass work) the observer metrics also
   carry.
 * :class:`RetractReceipt` -- whether the retracted zone existed.
 * :class:`ErrorResponse` -- the structured failure form the network tier
@@ -355,34 +355,11 @@ class MatchReport:
     """Outcome of one evaluation pass over the ciphertext store.
 
     ``plan_reused`` is True when the engine served the pass from its cached
-    token plan (the warm-session fast path); ``pool_reprimed`` is True when a
-    process pool had to be (re)created for it -- in a healthy warm session the
-    first evaluation primes the pool and every later report shows
-    ``plan_reused=True, pool_reprimed=False``.
-
-    The shard/zone fields cover the sharded deployments (``shards > 0`` in
-    :class:`~repro.service.config.ServiceConfig`): ``zones_skipped`` standing
-    zones had a current dirty-index frontier and were answered from
-    remembered outcomes; ``shipped_ciphertexts``/``bytes_shipped`` is what
-    actually crossed the process boundary, ``resident_hits`` the candidates
-    evaluated from ciphertexts already resident in worker processes.
-    ``pool_rebuilt`` is True when a broken process pool (a killed worker) was
-    transparently rebuilt and the pass retried.
-
-    The resilience fields mirror :class:`~repro.protocol.matching.PassStats`:
-    ``retries`` failing process attempts were re-run, ``deadline_hits``
-    bounded waits expired (each killing a hung worker), ``quarantines`` lanes
-    struck out and were respawned under quarantine, ``degraded_passes`` is 1
-    when the pass exhausted its retries and was answered by inline
-    evaluation (still a correct report), and ``stale_resets`` counts
-    in-pass ``StaleResidentShard`` floor re-ships.
-
-    The affinity-dispatch fields cover ``affinity=True`` deployments:
-    ``affinity_hits`` candidates were routed to the worker already holding
-    their shard resident, ``acked_delta_bytes`` of the shipped bytes
-    travelled in acked deltas (exactly the records the pinned worker had not
-    applied), and ``inplace_reprimes`` is 1 when a plan change was broadcast
-    to the live pool instead of restarting it.
+    token plan (the warm-session fast path): in a healthy warm session every
+    report after the first shows ``plan_reused=True``.  ``fused_evals`` and
+    ``precomp_hits`` mirror :class:`~repro.protocol.matching.PassStats`:
+    backend fused-worklist calls and precomputation-table / program-cache
+    hits this pass scored.
     """
 
     notifications: tuple[Notification, ...]
@@ -391,25 +368,7 @@ class MatchReport:
     tokens_evaluated: int
     pairings_spent: int
     plan_reused: bool
-    pool_reprimed: bool
     zones_evaluated: int = 0
-    zones_skipped: int = 0
-    shipped_ciphertexts: int = 0
-    bytes_shipped: int = 0
-    resident_hits: int = 0
-    pool_rebuilt: bool = False
-    affinity_hits: int = 0
-    acked_delta_bytes: int = 0
-    inplace_reprimes: int = 0
-    retries: int = 0
-    deadline_hits: int = 0
-    quarantines: int = 0
-    degraded_passes: int = 0
-    stale_resets: int = 0
-    #: Vectorized-crypto receipts (see
-    #: :class:`~repro.protocol.matching.PassStats`): backend fused-worklist
-    #: calls and precomputation-table / program-cache hits this pass scored,
-    #: parent- and worker-side combined.
     fused_evals: int = 0
     precomp_hits: int = 0
 
@@ -455,31 +414,17 @@ class MatchReport:
 class RequestMetrics:
     """Per-request record delivered to observers registered on the service.
 
-    The shard/zone fields mirror :class:`MatchReport`: they let a metrics
-    observer profile shard shipping (bytes on the wire vs. worker-resident
-    hits) and zone targeting (skipped vs. evaluated standing zones) without
-    attaching a debugger to the session.
+    The evaluation fields mirror :class:`MatchReport`, so a metrics observer
+    can profile plan reuse and per-pass work without attaching a debugger to
+    the session.
     """
 
     request: str
     pairings_spent: int
     plan_reused: bool
-    pool_reprimed: bool
     notifications: int
     candidates: int
     zones_evaluated: int = 0
-    zones_skipped: int = 0
-    bytes_shipped: int = 0
-    resident_hits: int = 0
-    pool_rebuilt: bool = False
-    affinity_hits: int = 0
-    acked_delta_bytes: int = 0
-    inplace_reprimes: int = 0
-    retries: int = 0
-    deadline_hits: int = 0
-    quarantines: int = 0
-    degraded_passes: int = 0
-    stale_resets: int = 0
     fused_evals: int = 0
     precomp_hits: int = 0
 

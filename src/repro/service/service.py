@@ -4,31 +4,24 @@ The paper's protocol is a *standing* service: users continuously upload
 encrypted locations and the provider continuously evaluates alert zones.  The
 earlier front doors (:class:`~repro.core.pipeline.SecureAlertPipeline`,
 :class:`~repro.protocol.alert_system.SecureAlertSystem`) were call-oriented --
-every alert re-planned its tokens and, with the process executor, re-paid pool
-start-up.  Following the classic expert-system *shell* pattern (a stable typed
-facade over an evolving inference core), this module makes **sessions** the
-unit of work instead:
+every alert re-planned its tokens.  Following the classic expert-system
+*shell* pattern (a stable typed facade over an evolving inference core), this
+module makes **sessions** the unit of work instead:
 
 * one :class:`~repro.service.config.ServiceConfig` configures the whole
-  deployment (encoding, crypto, matching, executor, freshness);
+  deployment (encoding, crypto, matching, freshness);
 * requests and responses are the typed dataclasses of
   :mod:`repro.service.requests`;
-* the service owns the :class:`~repro.protocol.matching.MatchingEngine`, the
-  :class:`~repro.protocol.store.CiphertextStore` (or, with ``shards > 0``,
-  the :class:`~repro.protocol.shards.ShardedCiphertextStore`, whose versioned
-  shards stay resident in process workers and whose shard-version clock
-  drives the engine's per-zone dirty index) and a
-  :class:`~repro.service.executor.PersistentExecutorPool` created once and
-  re-primed only when the token plan changes, so high-frequency small batches
-  amortise pool start-up;
+* the service owns the :class:`~repro.protocol.matching.MatchingEngine` and
+  the :class:`~repro.protocol.store.CiphertextStore`;
 * standing zones keep their minted :class:`~repro.protocol.messages.TokenBatch`
   objects alive, which is exactly what lets the engine's plan cache (and the
-  primed worker processes) serve warm evaluations;
+  plan's resident packed worklist) serve warm evaluations;
 * ``snapshot()``/``restore()`` persist the session (store + incremental
   matching state + standing-zone tokens) through the existing
   ``CiphertextStore``/``MatchingEngine`` serialization;
 * observer hooks receive per-request :class:`~repro.service.requests.RequestMetrics`
-  (pairings, plan reuse, pool re-primes) for monitoring.
+  (pairings, plan reuse, candidates) for monitoring.
 
 The legacy front doors are thin adapters over this class; their entry points
 are parity-tested to produce identical notifications and bit-exact pairing
@@ -37,7 +30,6 @@ totals.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import pathlib
 import random
@@ -53,14 +45,11 @@ from repro.grid.grid import Grid
 from repro.protocol.alert_system import SecureAlertSystem, SystemInitStats
 from repro.protocol.matching import MatchingEngine
 from repro.protocol.messages import LocationUpdate, TokenBatch
-from repro.protocol.shards import ShardedCiphertextStore
 from repro.protocol.store import CiphertextStore
 from repro.service.admission import AdmissionLedger
 from repro.service.config import ServiceConfig
-from repro.service.executor import PersistentExecutorPool
 from repro.service.faults import FaultInjector
 from repro.service.journal import RequestJournal, request_from_payload
-from repro.service.resilience import ResilienceRuntime, TaskDeadlineExceeded
 from repro.service.requests import (
     EvaluateStanding,
     IngestBatch,
@@ -88,7 +77,7 @@ class StandingZone:
     """One zone under periodic re-evaluation: its tokens, label and shape.
 
     The ``batch`` object's identity is load-bearing: as long as it is reused,
-    the engine's plan cache and the primed process workers stay warm.
+    the engine's plan cache and packed worklist stay warm.
     """
 
     batch: TokenBatch
@@ -108,40 +97,11 @@ class SessionStats:
     pairings_spent: int
     plan_builds: int
     plan_reuses: int
-    thread_pool_starts: int
-    process_pool_starts: int
-    process_pool_reuses: int
-    pool_reprimes: int
-    #: Broken process pools transparently rebuilt (each paired with one
-    #: retried pass).  With affinity dispatch this counts respawned lanes.
-    pool_rebuilds: int = 0
-    #: Shard shipping totals (sharded deployments only): full payload ships,
-    #: delta ships, and records serialized over the session's lifetime.
-    shard_full_ships: int = 0
-    shard_delta_ships: int = 0
-    records_serialized: int = 0
-    #: Affinity-dispatch totals: acked-delta ships and plan changes broadcast
-    #: to the live pool instead of restarting it.
-    shard_acked_ships: int = 0
-    inplace_reprimes: int = 0
-    #: Resilience-layer totals (see :mod:`repro.service.resilience`):
-    #: retried process attempts, expired bounded waits, quarantined lanes,
-    #: passes degraded to inline evaluation, stale-shard floor resets.
-    retries: int = 0
-    deadline_hits: int = 0
-    quarantines: int = 0
-    degraded_passes: int = 0
-    stale_resets: int = 0
     #: Journal group-commit totals (the network tier's tick batching):
     #: multi-entry batches landed under one fsync, and the fsyncs batching
     #: avoided versus the per-request write-ahead path.
     journal_group_commits: int = 0
     journal_fsyncs_saved: int = 0
-    #: Load-driven lane autoscale totals: resize events applied and lanes
-    #: added/removed across the session (see ``AutoscalePolicy``).
-    lane_resizes: int = 0
-    lanes_added: int = 0
-    lanes_removed: int = 0
 
 
 class AlertService:
@@ -212,18 +172,13 @@ class AlertService:
             )
         self.system = system
         self.engine: MatchingEngine = system.provider.engine
-        #: The session's resilience runtime: one strike ledger / counter set
-        #: shared by the dispatcher, the engine's retry wrapper and the stats.
-        self.resilience = ResilienceRuntime(
-            policy=self.config.resilience_policy(), seed=self.config.seed
-        )
         fault_plan = self.config.fault_plan()
         #: Non-None only for chaos runs (``config.faults``); wired into the
-        #: store's spool/snapshot writes and the dispatcher's task/ack paths.
+        #: store's and the session's snapshot writes and the journal's syncs.
         self.fault_injector = (
             FaultInjector(fault_plan) if fault_plan is not None and fault_plan.any_active else None
         )
-        self.store = self._build_store()
+        self.store = CiphertextStore(max_age_seconds=self.config.max_age_seconds)
         self.store.fault_injector = self.fault_injector
         #: Write-ahead request journal (``config.journal_path``); mutating
         #: requests are durably appended before they execute.  The network
@@ -252,25 +207,6 @@ class AlertService:
         self._closed = False
         # (user_id, sequence_number, stored) of the most recent store ingest.
         self._last_ingest: tuple[Optional[str], int, bool] = (None, 0, False)
-
-        self.pool: Optional[PersistentExecutorPool] = None
-        if self.config.persistent_pool and self.engine.options.workers > 1:
-            self.pool = PersistentExecutorPool(
-                workers=self.engine.options.workers,
-                executor=self.engine.options.executor,
-                # The affinity dispatcher only ever engages for sharded
-                # process passes; gating on shards avoids building it (and
-                # its lanes) for deployments that can never use it.
-                affinity=self.config.affinity and self.config.shards > 0,
-                ack_deltas=self.config.ack_deltas,
-                resilience=self.resilience,
-                fault_injector=self.fault_injector,
-                autoscale=self.config.autoscale_policy(),
-            )
-            self.engine.pools = self.pool
-        # The no-pool paths (inline fallback, ephemeral pools) must share the
-        # same runtime so every counter lands in one place.
-        self.engine._resilience = self.resilience
 
         # Every upload the system performs from now on also lands in the
         # session store; ciphertexts uploaded before adoption are back-filled.
@@ -408,7 +344,7 @@ class AlertService:
     # ------------------------------------------------------------------
     def _standing_batches(self) -> list[TokenBatch]:
         # Insertion order; the *same* TokenBatch objects every tick, which is
-        # what keeps the engine's plan cache (and primed workers) warm.
+        # what keeps the engine's plan cache (and packed worklist) warm.
         return [standing.batch for standing in self._zones.values()]
 
     def _descriptions(self) -> dict[str, str]:
@@ -417,13 +353,6 @@ class AlertService:
             for alert_id, standing in self._zones.items()
             if standing.description
         }
-
-    def _build_store(self) -> CiphertextStore:
-        if self.config.shards > 0:
-            return ShardedCiphertextStore(
-                shards=self.config.shards, max_age_seconds=self.config.max_age_seconds
-            )
-        return CiphertextStore(max_age_seconds=self.config.max_age_seconds)
 
     def _evaluate_batches(
         self,
@@ -434,31 +363,10 @@ class AlertService:
         counter = self.system.authority.group.counter
         pairings_before = counter.total
         reuses_before = self.engine.plan_reuses
-        pool_starts_before = self.pool.pool_starts_total if self.pool is not None else 0
-        drops_before = self.pool.broken_drops_total if self.pool is not None else 0
-
-        try:
-            notifications = tuple(
-                self.engine.match_store(batches, self.store, self._clock, descriptions=descriptions)
-            )
-        except (concurrent.futures.BrokenExecutor, TaskDeadlineExceeded):
-            # Normally the engine's resilience wrapper retries (and, at the
-            # policy default, degrades inline) before this can escape; it is
-            # reachable when the policy disables degradation.  One session-
-            # level retry then preserves the PR 4 recovery contract: the
-            # provider already dropped the broken pool / respawned the dead
-            # lane and no partial outcomes or pairing totals were merged.  A
-            # second failure is a real problem and propagates.
-            notifications = tuple(
-                self.engine.match_store(batches, self.store, self._clock, descriptions=descriptions)
-            )
+        notifications = tuple(
+            self.engine.match_store(batches, self.store, self._clock, descriptions=descriptions)
+        )
         pass_stats = self.engine.last_pass
-        pool_starts_after = self.pool.pool_starts_total if self.pool is not None else 0
-        drops_after = self.pool.broken_drops_total if self.pool is not None else 0
-        # A lane respawn or pool drop anywhere in the pass (including the
-        # engine's internal retries, which swallow the exception) surfaces as
-        # a rebuilt pool in the report.
-        pool_rebuilt = drops_after > drops_before
         report = MatchReport(
             notifications=notifications,
             alerts_evaluated=tuple(batch.alert_id for batch in batches),
@@ -466,21 +374,7 @@ class AlertService:
             tokens_evaluated=sum(len(batch.tokens) for batch in batches),
             pairings_spent=counter.total - pairings_before,
             plan_reused=self.engine.plan_reuses > reuses_before,
-            pool_reprimed=pool_starts_after > pool_starts_before,
             zones_evaluated=pass_stats.zones_evaluated,
-            zones_skipped=pass_stats.zones_skipped,
-            shipped_ciphertexts=pass_stats.ciphertexts_shipped,
-            bytes_shipped=pass_stats.bytes_shipped,
-            resident_hits=pass_stats.resident_hits,
-            pool_rebuilt=pool_rebuilt,
-            affinity_hits=pass_stats.affinity_hits,
-            acked_delta_bytes=pass_stats.acked_delta_bytes,
-            inplace_reprimes=pass_stats.inplace_reprimes,
-            retries=pass_stats.retries,
-            deadline_hits=pass_stats.deadline_hits,
-            quarantines=pass_stats.quarantines,
-            degraded_passes=pass_stats.degraded_passes,
-            stale_resets=pass_stats.stale_resets,
             fused_evals=pass_stats.fused_evals,
             precomp_hits=pass_stats.precomp_hits,
         )
@@ -497,7 +391,6 @@ class AlertService:
             tokens_evaluated=0,
             pairings_spent=0,
             plan_reused=False,
-            pool_reprimed=False,
         )
 
     # ------------------------------------------------------------------
@@ -638,22 +531,9 @@ class AlertService:
             request=request_name,
             pairings_spent=report.pairings_spent if report is not None else 0,
             plan_reused=report.plan_reused if report is not None else False,
-            pool_reprimed=report.pool_reprimed if report is not None else False,
             notifications=len(report.notifications) if report is not None else 0,
             candidates=report.candidates if report is not None else 0,
             zones_evaluated=report.zones_evaluated if report is not None else 0,
-            zones_skipped=report.zones_skipped if report is not None else 0,
-            bytes_shipped=report.bytes_shipped if report is not None else 0,
-            resident_hits=report.resident_hits if report is not None else 0,
-            pool_rebuilt=report.pool_rebuilt if report is not None else False,
-            affinity_hits=report.affinity_hits if report is not None else 0,
-            acked_delta_bytes=report.acked_delta_bytes if report is not None else 0,
-            inplace_reprimes=report.inplace_reprimes if report is not None else 0,
-            retries=report.retries if report is not None else 0,
-            deadline_hits=report.deadline_hits if report is not None else 0,
-            quarantines=report.quarantines if report is not None else 0,
-            degraded_passes=report.degraded_passes if report is not None else 0,
-            stale_resets=report.stale_resets if report is not None else 0,
             fused_evals=report.fused_evals if report is not None else 0,
             precomp_hits=report.precomp_hits if report is not None else 0,
         )
@@ -661,35 +541,14 @@ class AlertService:
             observer(metrics)
 
     def session_stats(self) -> SessionStats:
-        """Aggregate counters of this session (requests, pairings, pools, shards)."""
-        pool = self.pool
-        store = self.store
-        sharded = isinstance(store, ShardedCiphertextStore)
+        """Aggregate counters of this session (requests, pairings, plans, journal)."""
         return SessionStats(
             requests_handled=self._requests_handled,
             pairings_spent=self.pairing_count,
             plan_builds=self.engine.plan_builds,
             plan_reuses=self.engine.plan_reuses,
-            thread_pool_starts=pool.thread_pool_starts if pool is not None else 0,
-            process_pool_starts=pool.pool_starts_total if pool is not None else 0,
-            process_pool_reuses=pool.process_pool_reuses if pool is not None else 0,
-            pool_reprimes=pool.re_primes if pool is not None else 0,
-            pool_rebuilds=pool.broken_drops_total if pool is not None else 0,
-            shard_full_ships=store.full_ships if sharded else 0,
-            shard_delta_ships=store.delta_ships if sharded else 0,
-            records_serialized=store.serialized_records if sharded else 0,
-            shard_acked_ships=store.acked_ships if sharded else 0,
-            inplace_reprimes=pool.inplace_reprimes if pool is not None else 0,
-            retries=self.resilience.retries,
-            deadline_hits=self.resilience.deadline_hits,
-            quarantines=self.resilience.quarantines,
-            degraded_passes=self.resilience.degraded_passes,
-            stale_resets=self.resilience.stale_resets,
             journal_group_commits=self.journal.group_commits if self.journal is not None else 0,
             journal_fsyncs_saved=self.journal.fsyncs_saved if self.journal is not None else 0,
-            lane_resizes=pool.lane_resizes if pool is not None else 0,
-            lanes_added=pool.lanes_added if pool is not None else 0,
-            lanes_removed=pool.lanes_removed if pool is not None else 0,
         )
 
     # ------------------------------------------------------------------
@@ -744,8 +603,7 @@ class AlertService:
         The session must share the snapshot's key material -- construct it
         with the same :class:`ServiceConfig` (same seed) or the same adopted
         system.  Ciphertexts, incremental outcomes and standing-zone tokens
-        are restored; the next evaluation rebuilds the plan and re-primes any
-        process pool exactly once.
+        are restored; the next evaluation rebuilds the plan exactly once.
         """
         if isinstance(source, (str, pathlib.Path)):
             payload = json.loads(pathlib.Path(source).read_text(encoding="utf-8"))
@@ -755,20 +613,9 @@ class AlertService:
             raise ValueError("payload is not a serialized alert-service state")
         group = self.system.authority.group
         self._clock = float(payload.get("clock", 0.0))
-        old_store = self.store
-        if self.config.shards > 0:
-            # Keep the configured shard count (membership re-derives from the
-            # pseudonym hash, so a snapshot written with a different count --
-            # or by an unsharded session -- restores cleanly either way).
-            self.store = ShardedCiphertextStore.from_payload(
-                payload["store"], group, shards=self.config.shards
-            )
-        else:
-            self.store = CiphertextStore.from_payload(payload["store"], group)
+        self.store = CiphertextStore.from_payload(payload["store"], group)
         # The replacement store inherits the chaos wiring of the old one.
         self.store.fault_injector = self.fault_injector
-        if isinstance(old_store, ShardedCiphertextStore):
-            old_store.close()
         if self.store.matching_state is not None:
             self.engine.import_state(self.store.matching_state)
         else:
@@ -860,17 +707,13 @@ class AlertService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """End the session: shut down the persistent pool and stop ingesting
-        the system's uploads (idempotent)."""
+        """End the session: stop ingesting the system's uploads and close the
+        journal (idempotent)."""
         if self._closed:
             return
         self._closed = True
         if self._store_update in self.system.update_sinks:
             self.system.update_sinks.remove(self._store_update)
-        if self.pool is not None:
-            self.pool.close()
-        if isinstance(self.store, ShardedCiphertextStore):
-            self.store.close()
         if self.journal is not None:
             self.journal.close()
 

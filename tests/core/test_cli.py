@@ -87,3 +87,21 @@ class TestMain:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "repro" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["serve", "--max-inflight", "0"], "max_inflight must be at least 1"),
+            (["serve", "--batch-max", "0"], "batch_max must be at least 1"),
+            (["simulate", "--users", "0"], "num_users must be at least 1"),
+            (["simulate", "--prime-bits", "8"], "prime_bits must be at least 16"),
+            (["chaos", "--faults", "explode=1"], "unknown fault 'explode'"),
+        ],
+    )
+    def test_config_errors_exit_2_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: error: {message}")

@@ -39,24 +39,6 @@ class TestFixedBaseTable:
         assert table.pow(0) == 1 % MODULUS_128
         assert table.pow(1) == BASE % MODULUS_128
 
-    def test_wire_round_trip(self):
-        table = FixedBaseTable(BASE, MODULUS_128, max_bits=130)
-        wire = table.to_wire()
-        assert wire[0] == "fixed_base_table_v1"
-        rebuilt = FixedBaseTable.from_wire(wire)
-        exponent = random.Random(3).getrandbits(129)
-        assert rebuilt.pow(exponent) == table.pow(exponent)
-        assert rebuilt.window == table.window
-        assert rebuilt.max_bits == table.max_bits
-
-    def test_wire_form_is_cached(self):
-        table = FixedBaseTable(BASE, MODULUS_128, max_bits=130)
-        assert table.to_wire() is table.to_wire()
-
-    def test_foreign_wire_is_rejected(self):
-        with pytest.raises(ValueError):
-            FixedBaseTable.from_wire(("not_a_table", 1, 2))
-
 
 @pytest.mark.parametrize("backend_name", available_backends())
 class TestVectorizedContract:
@@ -143,4 +125,3 @@ class TestGroupWorkTable:
                               backend=backend_name)
         assert group.warm_precomputation() >= 0.0
         assert group._work_table is None
-        assert group.precomputation_to_wire() is None

@@ -7,27 +7,17 @@ import pytest
 from repro.crypto.group import BilinearGroup
 from repro.crypto.hve import HVE
 from repro.crypto.serialization import (
-    ciphertext_to_wire,
     deserialize_ciphertext,
     deserialize_public_key,
     deserialize_secret_key,
     deserialize_token,
-    element_to_wire,
     from_json,
-    group_to_wire,
-    gt_element_to_wire,
     payload_size_bytes,
     serialize_ciphertext,
     serialize_public_key,
     serialize_secret_key,
     serialize_token,
     to_json,
-    token_to_wire,
-    wire_to_ciphertext,
-    wire_to_element,
-    wire_to_group,
-    wire_to_gt_element,
-    wire_to_token,
 )
 
 
@@ -75,108 +65,6 @@ class TestRoundTrips:
         _, _, _, ciphertext, _ = setup
         payload = serialize_ciphertext(ciphertext)
         assert from_json(to_json(payload)) == payload
-
-
-class TestWireForms:
-    """Compact picklable wire forms used for process-boundary transport."""
-
-    def test_group_wire_round_trip_preserves_constants(self, setup):
-        group, _, _, _, _ = setup
-        wire = group_to_wire(group)
-        assert all(isinstance(v, (int, str)) for v in wire[:4])
-        assert wire[4] is None or isinstance(wire[4], tuple)
-        restored = wire_to_group(wire)
-        assert restored.order == group.order
-        assert restored.p == group.p and restored.q == group.q
-        assert restored.pairing_work_factor == group.pairing_work_factor
-        assert restored.backend_name == group.backend_name
-
-    def test_group_wire_accepts_legacy_four_tuple(self, setup):
-        group, _, _, _, _ = setup
-        restored = wire_to_group(group_to_wire(group)[:4])
-        assert restored.order == group.order
-
-    def test_group_wire_ships_warm_precomputation(self):
-        """Large-modulus groups ship their fixed-base table to workers."""
-        import random
-
-        from repro.crypto.group import BilinearGroup
-
-        group = BilinearGroup(
-            prime_bits=64,
-            rng=random.Random(11),
-            pairing_work_factor=2,
-            backend="reference",
-        )
-        wire = group_to_wire(group)
-        if group.backend.fixed_base_min_bits is None:
-            assert wire[4] is None
-            return
-        assert wire[4] is not None
-        restored = wire_to_group(wire)
-        # The inherited table serves burns without a rebuild: identical last
-        # work witness, and hits are recorded against the shipped table.
-        group.record_pairings(3)
-        restored.record_pairings(3)
-        assert restored._last_work == group._last_work
-        assert restored.precomp_hits > 0
-
-    def test_group_wire_survives_pickle(self, setup):
-        import pickle
-
-        group, hve, keys, ciphertext, token = setup
-        wire = pickle.loads(pickle.dumps(group_to_wire(group)))
-        restored = wire_to_group(wire)
-        assert restored.order == group.order
-
-    def test_element_wire_round_trip(self, setup):
-        group, _, _, _, _ = setup
-        element = group.random_g()
-        restored = wire_to_element(group, element_to_wire(element))
-        assert restored == element
-        gt = group.random_gt()
-        assert wire_to_gt_element(group, gt_element_to_wire(gt)) == gt
-
-    def test_ciphertext_wire_round_trip_matches(self, setup):
-        group, hve, _, ciphertext, token = setup
-        wire = ciphertext_to_wire(ciphertext)
-        restored = wire_to_ciphertext(group, wire)
-        assert restored.width == ciphertext.width
-        assert restored == ciphertext
-        assert hve.matches(restored, token)
-
-    def test_token_wire_round_trip_matches(self, setup):
-        group, hve, _, ciphertext, token = setup
-        restored = wire_to_token(group, token_to_wire(token))
-        assert restored.pattern == token.pattern
-        assert restored.k1.keys() == token.k1.keys()
-        assert hve.matches(ciphertext, restored)
-        assert hve.matches_via_plan(ciphertext, restored)
-
-    def test_wire_forms_are_plain_ints(self, setup):
-        """Wire forms must pickle identically whatever backend produced them."""
-        _, _, _, ciphertext, token = setup
-        c_prime, c0, c1, c2 = ciphertext_to_wire(ciphertext)
-        assert type(c_prime) is int and type(c0) is int
-        assert all(type(v) is int for v in c1 + c2)
-        _, k0, k1, k2 = token_to_wire(token)
-        assert type(k0) is int
-        assert all(type(i) is int and type(v) is int for i, v in k1 + k2)
-
-    def test_cross_group_wire_transport(self, setup):
-        """A ciphertext/token pair shipped by wire to a rebuilt group still matches."""
-        group, hve, keys, ciphertext, token = setup
-        from repro.crypto.hve import HVE
-
-        remote_group = wire_to_group(group_to_wire(group))
-        remote_hve = HVE(width=hve.width, group=remote_group)
-        remote_ct = wire_to_ciphertext(remote_group, ciphertext_to_wire(ciphertext))
-        remote_token = wire_to_token(remote_group, token_to_wire(token))
-        assert remote_hve.matches(remote_ct, remote_token) == hve.matches(ciphertext, token)
-        # A non-matching pattern must stay non-matching remotely too.
-        miss = hve.generate_token(keys.secret, "0*0")
-        remote_miss = wire_to_token(remote_group, token_to_wire(miss))
-        assert remote_hve.matches(remote_ct, remote_miss) == hve.matches(ciphertext, miss) == False  # noqa: E712
 
 
 class TestValidation:

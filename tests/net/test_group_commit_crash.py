@@ -47,7 +47,7 @@ DOOMED = textwrap.dedent(
         rows=6, cols=6, sigmoid_a=0.9, sigmoid_b=20, seed=31, extent_meters=600.0
     )
     config = ServiceConfig(
-        prime_bits=32, seed=19, incremental=False, workers=1,
+        prime_bits=32, seed=19, incremental=False,
         journal_path=journal_path,
     )
     service = AlertService(scenario.grid, scenario.probabilities, config=config)
@@ -118,7 +118,7 @@ DOOMED = textwrap.dedent(
 
 def _recovery_config(journal_path):
     return ServiceConfig(
-        prime_bits=32, seed=19, incremental=False, workers=1, journal_path=str(journal_path)
+        prime_bits=32, seed=19, incremental=False, journal_path=str(journal_path)
     )
 
 

@@ -2,10 +2,10 @@
 
 Pinned here:
 
-* the PR 6 fault grammar accepts the network sites (``conn_drop``,
+* the fault grammar accepts the network sites (``conn_drop``,
   ``frame_corrupt``, ``slow_client``) with the same spec syntax, probability
-  validation, and seeded per-site determinism as the original sites --
-  adding them never perturbs when the lane/ack/spool faults fire;
+  validation, and seeded per-site determinism as the other sites -- drawing
+  from one site's stream never perturbs when another site's faults fire;
 * the injector's ``net`` stream is deterministic and direction-aware
   (``frame_corrupt`` only fires on writes: a corrupt inbound frame would be
   indistinguishable from line noise, the interesting failure is the client
@@ -47,12 +47,12 @@ def test_net_stream_is_deterministic_and_independent():
     assert fates_a == fates_b  # same plan + seed -> same fates at same frames
     assert first.counts == second.counts
     assert set(first.counts) == {"conn_drop", "frame_corrupt", "slow_client"}
-    # Draining the *lane* stream must not change what the net stream does:
+    # Draining the *journal* stream must not change what the net stream does:
     # per-site independence is what keeps chaos runs replayable as sites are
     # added.
     third = FaultInjector(plan.with_seed(13))
     for _ in range(50):
-        third.lane_task("lane-0")
+        third.journal_fsync()
     fates_c = [third.net_frame("write") for _ in range(300)]
     assert fates_c == fates_a
 

@@ -4,9 +4,9 @@ The fused path (``MatchingOptions.fused``, backed by
 :meth:`~repro.crypto.backends.base.GroupBackend.fused_eval`) is a pure
 performance feature: for every plan shape hypothesis can dream up --
 duplicate patterns, subsumption chains, short-circuit orders, incremental
-caches, worker chunking -- it must produce the same notifications *and* the
-same :class:`~repro.crypto.counting.PairingCounter` totals as the scalar
-planned evaluator, on every available backend and executor.  These tests are
+caches -- it must produce the same notifications *and* the same
+:class:`~repro.crypto.counting.PairingCounter` totals as the scalar planned
+evaluator, on every available backend.  These tests are
 the contract that lets benchmarks compare the two paths as equals.
 """
 
@@ -244,45 +244,3 @@ class TestPackedWorklistResidency:
         engine = MatchingEngine(world.hve, MatchingOptions(fused=True))
         engine.match(batches, candidates)  # 8 jobs < default threshold (64)
         assert engine._evaluation_for(batches).fused_worklist is None
-
-
-@pytest.mark.parametrize("backend_name", available_backends())
-class TestFusedExecutorParity:
-    """Worker fan-out must not change what the fused path computes."""
-
-    def _fixture(self, backend_name):
-        world = world_for(backend_name)
-        pattern_lists = [["01**", "0***", "11*1"], ["0***", "1*0*"]]
-        batches = world.batches(pattern_lists)
-        candidates = world.candidates(
-            ["0101", "0110", "1101", "1000", "0011", "1111", "0100"]
-        )
-        return world, batches, candidates
-
-    def test_thread_executor_parity(self, backend_name):
-        world, batches, candidates = self._fixture(backend_name)
-        inline = run_pass(world, MatchingOptions(fused=True), batches, candidates)
-        threaded = run_pass(
-            world,
-            MatchingOptions(fused=True, workers=3, chunk_size=2),
-            batches,
-            candidates,
-        )
-        scalar = run_pass(world, MatchingOptions(fused=False), batches, candidates)
-        assert threaded[0] == inline[0] == scalar[0]
-        assert threaded[1] == inline[1] == scalar[1]
-        assert threaded[2].fused_evals == 4  # ceil(7 / 2) chunks
-
-    def test_process_executor_parity(self, backend_name):
-        world, batches, candidates = self._fixture(backend_name)
-        inline_fused = run_pass(world, MatchingOptions(fused=True), batches, candidates)
-        inline_scalar = run_pass(world, MatchingOptions(fused=False), batches, candidates)
-        process = run_pass(
-            world,
-            MatchingOptions(fused=True, workers=2, executor="process"),
-            batches,
-            candidates,
-        )
-        assert process[0] == inline_fused[0] == inline_scalar[0]
-        assert process[1] == inline_fused[1] == inline_scalar[1]
-        assert process[2].fused_evals >= 1  # workers reported their fused calls

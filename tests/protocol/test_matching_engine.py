@@ -128,20 +128,6 @@ class TestDeduplication:
         assert planned_pairings <= naive_pairings // 2 + 1
 
 
-class TestWorkers:
-    def test_multi_worker_output_and_counts_are_deterministic(self):
-        hve, candidates, batches, _, _ = _random_scenario(73, n_users=9)
-        serial, serial_pairings = _run(hve, MatchingOptions(strategy="planned"), candidates, batches)
-        threaded, threaded_pairings = _run(
-            hve,
-            MatchingOptions(strategy="planned", workers=3, chunk_size=2),
-            candidates,
-            batches,
-        )
-        assert threaded == serial
-        assert threaded_pairings == serial_pairings
-
-
 class TestIncremental:
     def test_unchanged_users_are_not_re_evaluated(self):
         hve, candidates, batches, _, _ = _random_scenario(91)
@@ -153,6 +139,8 @@ class TestIncremental:
         second = engine.match(batches, candidates)
         assert counter.total == before  # every (user, alert) outcome was cached
         assert second == first
+        # A fully cached pass never even looks up the plan.
+        assert (engine.plan_builds, engine.plan_reuses) == (1, 0)
 
     def test_changed_sequence_number_is_re_evaluated(self):
         hve, candidates, batches, user_cells, encoding = _random_scenario(91)
@@ -430,63 +418,6 @@ class TestTransitiveReduction:
         assert subsumed == plain
         assert subsume_pairings <= plain_pairings
 
-    def test_wire_round_trip_preserves_reduction(self):
-        hve, _, batches = self._nested_scenario(77)
-        plan = TokenPlan(batches, reduce=True)
-        restored = TokenPlan.from_wire(hve.group, plan.to_wire())
-        assert restored.reduced is plan.reduced is True
-        assert restored.generalizers == plan.generalizers
-        assert restored.generalizer_edges == plan.generalizer_edges
-
-
-class TestPlanWire:
-    """TokenPlan round-trips through its compact picklable wire form."""
-
-    @pytest.mark.parametrize("order,dedupe,subsume", [
-        ("cheapest", True, True),
-        ("cheapest", True, False),
-        ("declared", False, False),
-    ])
-    def test_round_trip_preserves_structure(self, order, dedupe, subsume):
-        hve, _, batches, _, _ = _random_scenario(157, n_alerts=3)
-        plan = TokenPlan(batches, order=order, dedupe=dedupe, subsume=subsume)
-        restored = TokenPlan.from_wire(hve.group, plan.to_wire())
-        assert restored.order == plan.order
-        assert restored.dedupe == plan.dedupe
-        assert restored.subsume == plan.subsume
-        assert restored.total_tokens == plan.total_tokens
-        assert restored.unique_patterns == plan.unique_patterns
-        assert restored.generalizers == plan.generalizers
-        assert restored.alert_ids == plan.alert_ids
-        assert restored.pairing_cost_per_ciphertext == plan.pairing_cost_per_ciphertext
-        for (_, entries), (_, restored_entries) in zip(plan.entries_by_alert, restored.entries_by_alert):
-            for entry, restored_entry in zip(entries, restored_entries):
-                assert restored_entry.token.pattern == entry.token.pattern
-                assert restored_entry.positions == entry.positions
-                assert restored_entry.cost == entry.cost
-                assert restored_entry.slot == entry.slot
-
-    def test_wire_is_picklable_and_evaluates_identically(self):
-        import pickle
-
-        hve, candidates, batches, _, _ = _random_scenario(163, n_alerts=2)
-        plan = TokenPlan(batches)
-        wire = pickle.loads(pickle.dumps(plan.to_wire()))
-        restored = TokenPlan.from_wire(hve.group, wire)
-        from repro.protocol.matching import _make_planned_evaluator
-
-        original = _make_planned_evaluator(hve, plan)
-        rebuilt = _make_planned_evaluator(hve, restored)
-        for candidate in candidates:
-            for index in range(len(batches)):
-                assert original(candidate.ciphertext, index, {}) == rebuilt(candidate.ciphertext, index, {})
-
-    def test_rejects_foreign_payload(self):
-        hve, _, batches, _, _ = _random_scenario(163, n_alerts=1)
-        with pytest.raises(ValueError, match="token plan"):
-            TokenPlan.from_wire(hve.group, {"kind": "something_else"})
-
-
 class TestEngineStatePersistence:
     def test_export_import_round_trip(self):
         hve, candidates, batches, _, _ = _random_scenario(177)
@@ -565,6 +496,4 @@ class TestTokenPlan:
         with pytest.raises(ValueError):
             MatchingOptions(order="slowest")
         with pytest.raises(ValueError):
-            MatchingOptions(workers=0)
-        with pytest.raises(ValueError):
-            MatchingOptions(chunk_size=0)
+            MatchingOptions(fused_pack_min_jobs=0)

@@ -146,11 +146,14 @@ class TestRequests:
 
 
 class TestFreshness:
-    def test_expired_reports_are_not_matched(self, scenario):
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_expired_reports_are_not_matched(self, scenario, incremental):
         with AlertService(
             scenario.grid,
             scenario.probabilities,
-            config=ServiceConfig(prime_bits=32, seed=7, max_age_seconds=10.0),
+            config=ServiceConfig(
+                prime_bits=32, seed=7, max_age_seconds=10.0, incremental=incremental
+            ),
         ) as service:
             service.subscribe(Subscribe(user_id="alice", location=scenario.grid.cell_center(7), at=0.0))
             service.subscribe(Subscribe(user_id="bob", location=scenario.grid.cell_center(7), at=8.0))
@@ -160,6 +163,17 @@ class TestFreshness:
             # Alice's report (age 15) expired; bob's (age 7) is still fresh.
             assert report.notified_users == ("bob",)
             assert report.candidates == 1
+            # A standing zone that matched alice while she was fresh must
+            # drop her once her report ages out, remembered outcome or not.
+            service.publish_zone(
+                PublishZone(alert_id="s", zone=AlertZone(cell_ids=(7,)), evaluate=False)
+            )
+            service.subscribe(Subscribe(user_id="carol", location=scenario.grid.cell_center(7), at=16.0))
+            assert service.evaluate_standing(EvaluateStanding(at=16.0)).notified_users == (
+                "bob",
+                "carol",
+            )
+            assert service.evaluate_standing(EvaluateStanding(at=20.0)).notified_users == ("carol",)
 
 
 class TestObserverMetrics:
@@ -273,24 +287,26 @@ class TestSnapshotRestore:
             # ...and a receipt built right after the drop says so.
             assert service._receipt_for("alice").stored is False
 
-    def test_resubscribe_after_restore_resumes_the_sequence(self, scenario):
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_resubscribe_after_restore_resumes_the_sequence(self, scenario, incremental):
         """Regression: a client reconnecting via Subscribe after a restore
         must supersede the restored report, not restart at sequence 0 (which
         the store would silently drop forever after)."""
-        with make_service(scenario) as donor:
+        with make_service(scenario, incremental=incremental) as donor:
             donor.subscribe(Subscribe(user_id="alice", location=scenario.grid.cell_center(6)))
+            donor.publish_zone(PublishZone(alert_id="z", zone=AlertZone(cell_ids=(2,)), evaluate=False))
             for _ in range(3):
                 donor.move(Move(user_id="alice", location=scenario.grid.cell_center(6)))
+                assert donor.evaluate_standing().notified_users == ()
             payload = donor.snapshot()
 
-        with make_service(scenario) as service:
+        with make_service(scenario, incremental=incremental) as service:
             service.restore(payload)
             receipt = service.subscribe(
                 Subscribe(user_id="alice", location=scenario.grid.cell_center(2))
             )
             assert receipt.stored is True
             assert receipt.sequence_number == 4
-            service.publish_zone(PublishZone(alert_id="z", zone=AlertZone(cell_ids=(2,)), evaluate=False))
             assert service.evaluate_standing().notified_users == ("alice",)
 
     def test_snapshot_is_json_and_restore_rejects_foreign_payload(self, scenario):
@@ -324,13 +340,12 @@ class TestLegacyAdoption:
         assert system.update_sinks == []
 
 
-class TestPersistentProcessPool:
-    def test_pool_reprimed_only_on_plan_change(self, scenario):
-        """The ROADMAP item, asserted through the metrics observer: across a
-        warm session the process pool is primed once and re-primed exactly
-        when the standing set (hence the token plan) changes."""
+class TestPlanCache:
+    def test_plan_rebuilt_only_on_plan_change(self, scenario):
+        """Across a warm session the token plan is built once and rebuilt
+        exactly when the standing set (hence the plan) changes."""
         metrics = []
-        with make_service(scenario, workers=2, executor="process") as service:
+        with make_service(scenario) as service:
             service.add_observer(metrics.append)
             for i in range(4):
                 service.subscribe(Subscribe(user_id=f"u{i}", location=scenario.grid.cell_center(i)))
@@ -348,61 +363,16 @@ class TestPersistentProcessPool:
             stats = service.session_stats()
 
         ticks = [m for m in metrics if m.request == "evaluate_standing"]
-        assert [m.pool_reprimed for m in ticks] == [True, False, False, True, False]
         assert [m.plan_reused for m in ticks] == [False, True, True, False, True]
-        # Pool lifecycle: one initial prime + one re-prime for the changed plan.
-        assert stats.process_pool_starts == 2
-        assert stats.pool_reprimes == 1
-        assert stats.process_pool_reuses == 3
-
-    def test_ephemeral_config_starts_a_pool_per_call(self, scenario):
-        """persistent_pool=False restores the seed behaviour (and has no pool
-        to account for in the session stats)."""
-        with make_service(scenario, workers=2, executor="process", persistent_pool=False) as service:
-            for i in range(4):
-                service.subscribe(Subscribe(user_id=f"u{i}", location=scenario.grid.cell_center(i)))
-            service.publish_zone(PublishZone(alert_id="z", zone=AlertZone(cell_ids=(1, 2)), evaluate=False))
-            first = service.evaluate_standing()
-            second = service.evaluate_standing()
-            assert service.pool is None
-            assert first.pool_reprimed is False  # no persistent pool to track
-            assert second.plan_reused is True  # the plan cache still helps
-            assert service.session_stats().process_pool_starts == 0
-
-
-class TestPersistentPoolRecovery:
-    def test_broken_executor_is_dropped_and_reprimed(self):
-        """Regression: a BrokenExecutor escaping a pass must not leave the
-        broken pool cached (every later pass would re-raise it)."""
-        from concurrent.futures import BrokenExecutor
-
-        from repro.service import PersistentExecutorPool
-
-        pool = PersistentExecutorPool(workers=1, executor="process")
-        initargs = (("unused",), 4, ("naive", ()))  # workers spawn lazily: never run
-        try:
-            with pool.process_pool(1, prime_version=1, initargs=initargs):
-                pass
-            assert pool.process_pool_starts == 1
-            with pytest.raises(BrokenExecutor):
-                with pool.process_pool(1, prime_version=1, initargs=initargs):
-                    raise BrokenExecutor("worker died")
-            assert pool.primed_version is None
-            with pool.process_pool(1, prime_version=1, initargs=initargs):
-                pass
-            assert pool.process_pool_starts == 2  # fresh pool after the break
-        finally:
-            pool.close()
+        assert stats.plan_builds == 2
+        assert stats.plan_reuses == 3
 
 
 class TestClosedSession:
-    def test_close_is_idempotent_and_stops_pools(self, scenario):
-        service = make_service(scenario, workers=2, executor="thread")
+    def test_close_is_idempotent_and_closes_the_journal(self, scenario, tmp_path):
+        service = make_service(scenario, journal_path=str(tmp_path / "wal.log"))
         service.subscribe(Subscribe(user_id="a", location=scenario.grid.cell_center(1)))
-        service.subscribe(Subscribe(user_id="b", location=scenario.grid.cell_center(2)))
         service.publish_zone(PublishZone(alert_id="z", zone=AlertZone(cell_ids=(1, 2))))
-        assert service.pool is not None
         service.close()
         service.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            service.evaluate_standing()
+        assert service.journal._file is None or service.journal._file.closed

@@ -229,7 +229,6 @@ def _recovery_config(journal_path):
         prime_bits=32,
         seed=19,
         incremental=False,
-        workers=1,
         journal_path=str(journal_path),
     )
 
@@ -299,7 +298,7 @@ class TestCrashRecovery:
                     extent_meters=600.0,
                 )
                 config = ServiceConfig(
-                    prime_bits=32, seed=19, incremental=False, workers=1,
+                    prime_bits=32, seed=19, incremental=False,
                     journal_path=journal_path,
                 )
                 service = AlertService(
@@ -363,7 +362,7 @@ class TestCrashRecovery:
             recovered.close()
 
     def test_snapshot_records_zero_journal_seq_without_a_journal(self, tmp_path, scenario):
-        config = ServiceConfig(prime_bits=32, seed=19, incremental=False, workers=1)
+        config = ServiceConfig(prime_bits=32, seed=19, incremental=False)
         with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
             _drive_session(service, scenario)
             payload = service.snapshot(tmp_path / "state.json")

@@ -106,10 +106,7 @@ match_reports = st.builds(
     tokens_evaluated=counters,
     pairings_spent=counters,
     plan_reused=st.booleans(),
-    pool_reprimed=st.booleans(),
-    zones_skipped=counters,
-    bytes_shipped=counters,
-    retries=counters,
+    zones_evaluated=counters,
     fused_evals=counters,
 )
 request_metrics = st.builds(
@@ -117,11 +114,9 @@ request_metrics = st.builds(
     request=ids,
     pairings_spent=counters,
     plan_reused=st.booleans(),
-    pool_reprimed=st.booleans(),
     notifications=counters,
     candidates=counters,
-    bytes_shipped=counters,
-    stale_resets=counters,
+    zones_evaluated=counters,
     precomp_hits=counters,
 )
 error_responses = st.builds(

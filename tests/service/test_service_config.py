@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.pipeline import PipelineConfig
-from repro.protocol.matching import EXECUTORS, MATCHING_STRATEGIES, TOKEN_ORDERS
+from repro.protocol.matching import MATCHING_STRATEGIES, TOKEN_ORDERS
 from repro.protocol.simulation import SimulationConfig
 from repro.service import ServiceConfig
 
@@ -12,7 +12,6 @@ class TestValidation:
     def test_defaults_are_valid(self):
         config = ServiceConfig()
         assert config.scheme == "huffman"
-        assert config.persistent_pool is True
         assert config.incremental is False
 
     def test_scheme_aliases_are_normalised(self):
@@ -25,7 +24,6 @@ class TestValidation:
             ({"scheme": "morse"}, "huffman"),
             ({"matching_strategy": "quantum"}, "planned"),
             ({"token_order": "slowest"}, "cheapest"),
-            ({"executor": "gpu"}, "thread"),
             ({"crypto_backend": "openssl"}, "reference"),
         ],
     )
@@ -44,12 +42,6 @@ class TestValidation:
         for strategy in MATCHING_STRATEGIES:
             assert strategy in str(excinfo.value)
 
-    def test_executor_error_lists_every_executor(self):
-        with pytest.raises(ValueError) as excinfo:
-            ServiceConfig(executor="nope")
-        for executor in EXECUTORS:
-            assert executor in str(excinfo.value)
-
     def test_order_error_lists_every_order(self):
         with pytest.raises(ValueError) as excinfo:
             ServiceConfig(token_order="nope")
@@ -59,12 +51,11 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"workers": 0},
             {"alphabet_size": 1},
             {"prime_bits": 8},
-            {"chunk_size": 0},
             {"max_age_seconds": 0},
             {"max_age_seconds": -5.0},
+            {"faults": "torn_snapshot=-1"},
         ],
     )
     def test_numeric_bounds(self, kwargs):
@@ -79,9 +70,6 @@ class TestDerivedViews:
             token_order="declared",
             dedupe=False,
             subsume=False,
-            workers=3,
-            executor="process",
-            chunk_size=2,
             incremental=True,
         )
         options = config.matching_options()
@@ -89,9 +77,6 @@ class TestDerivedViews:
         assert options.order == "declared"
         assert options.dedupe is False
         assert options.subsume is False
-        assert options.workers == 3
-        assert options.executor == "process"
-        assert options.chunk_size == 2
         assert options.incremental is True
 
     def test_from_pipeline_carries_every_shared_knob(self):
@@ -101,8 +86,6 @@ class TestDerivedViews:
             prime_bits=40,
             seed=9,
             matching_strategy="naive",
-            workers=2,
-            executor="process",
             crypto_backend="reference",
         )
         config = ServiceConfig.from_pipeline(pipeline_config)
@@ -111,22 +94,18 @@ class TestDerivedViews:
         assert config.prime_bits == 40
         assert config.seed == 9
         assert config.matching_strategy == "naive"
-        assert config.workers == 2
-        assert config.executor == "process"
         assert config.crypto_backend == "reference"
-        # Legacy call sites predate close(): they keep per-call pool lifetimes.
-        assert config.persistent_pool is False
         assert config.incremental is False
 
     def test_from_simulation_carries_every_shared_knob(self):
         simulation_config = SimulationConfig(
-            prime_bits=40, seed=5, matching_strategy="planned", workers=2, executor="thread"
+            prime_bits=40, seed=5, matching_strategy="naive", crypto_backend="reference"
         )
         config = ServiceConfig.from_simulation(simulation_config)
         assert config.prime_bits == 40
         assert config.seed == 5
-        assert config.workers == 2
-        assert config.persistent_pool is False
+        assert config.matching_strategy == "naive"
+        assert config.crypto_backend == "reference"
 
 
 class TestBuilder:
@@ -136,7 +115,6 @@ class TestBuilder:
             .with_scheme("bary", alphabet_size=4)
             .with_crypto(prime_bits=48, seed=3)
             .with_matching(strategy="planned", incremental=True)
-            .with_executor(executor="process", workers=4, persistent_pool=False)
             .with_store(max_age_seconds=60.0)
             .build()
         )
@@ -144,9 +122,6 @@ class TestBuilder:
         assert config.alphabet_size == 4
         assert config.prime_bits == 48
         assert config.incremental is True
-        assert config.executor == "process"
-        assert config.workers == 4
-        assert config.persistent_pool is False
         assert config.max_age_seconds == 60.0
 
     def test_untouched_fields_keep_defaults(self):
@@ -154,6 +129,6 @@ class TestBuilder:
         assert config == ServiceConfig(prime_bits=32)
 
     def test_builder_validates_at_build(self):
-        builder = ServiceConfig.builder().with_executor(executor="gpu")
-        with pytest.raises(ValueError, match="executor"):
+        builder = ServiceConfig.builder().with_matching(order="fastest")
+        with pytest.raises(ValueError, match="token order"):
             builder.build()

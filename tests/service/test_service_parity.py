@@ -3,8 +3,8 @@
 The acceptance property of the service redesign: driving the same operation
 sequence through (a) a bare pre-service ``SecureAlertSystem``, (b) the
 ``SecureAlertPipeline`` adapter and (c) an ``AlertService`` session produces
-*identical notifications* and *bit-exact PairingCounter totals*, across the
-thread and process executors, including after ``snapshot()``/``restore()``.
+*identical notifications* and *bit-exact PairingCounter totals*, under both
+matching strategies, including after ``snapshot()``/``restore()``.
 """
 
 import random
@@ -41,7 +41,7 @@ def _script(grid):
     return users, moves, zones
 
 
-def _run_legacy(scenario, workers, executor):
+def _run_legacy(scenario, strategy):
     """The pre-service path: a bare system driven through its provider."""
     users, moves, zones = _script(scenario.grid)
     system = SecureAlertSystem(
@@ -50,7 +50,7 @@ def _run_legacy(scenario, workers, executor):
         scheme=scheme_by_name("huffman"),
         prime_bits=PRIME_BITS,
         rng=random.Random(SEED),
-        matching=MatchingOptions(workers=workers, executor=executor),
+        matching=MatchingOptions(strategy=strategy),
     )
     # Compare pairings spent *operating* the deployment; key setup itself
     # costs one pairing per constructed system, which would skew the
@@ -69,9 +69,9 @@ def _run_legacy(scenario, workers, executor):
     return notified, system.pairing_count - base
 
 
-def _run_pipeline(scenario, workers, executor):
+def _run_pipeline(scenario, strategy):
     users, moves, zones = _script(scenario.grid)
-    config = PipelineConfig(prime_bits=PRIME_BITS, seed=SEED, workers=workers, executor=executor)
+    config = PipelineConfig(prime_bits=PRIME_BITS, seed=SEED, matching_strategy=strategy)
     with SecureAlertPipeline.from_probabilities(scenario.grid, scenario.probabilities, config) as pipeline:
         base = pipeline.pairing_count
         notified = []
@@ -87,10 +87,10 @@ def _run_pipeline(scenario, workers, executor):
         return notified, pipeline.pairing_count - base
 
 
-def _run_service(scenario, workers, executor, snapshot_midway=False):
+def _run_service(scenario, strategy, snapshot_midway=False):
     """The session path; optionally snapshot+restore into a fresh session midway."""
     users, moves, zones = _script(scenario.grid)
-    config = ServiceConfig(prime_bits=PRIME_BITS, seed=SEED, workers=workers, executor=executor)
+    config = ServiceConfig(prime_bits=PRIME_BITS, seed=SEED, matching_strategy=strategy)
     service = AlertService(scenario.grid, scenario.probabilities, config=config)
     base = service.pairing_count
     notified = []
@@ -131,25 +131,21 @@ def _run_service(scenario, workers, executor, snapshot_midway=False):
 
 
 class TestParity:
-    @pytest.mark.parametrize("workers,executor", [(1, "thread"), (2, "thread")])
-    def test_legacy_pipeline_and_service_agree(self, scenario, workers, executor):
-        legacy = _run_legacy(scenario, workers, executor)
-        pipeline = _run_pipeline(scenario, workers, executor)
-        service = _run_service(scenario, workers, executor)
+    @pytest.mark.parametrize("strategy", ["planned", "naive"])
+    def test_legacy_pipeline_and_service_agree(self, scenario, strategy):
+        legacy = _run_legacy(scenario, strategy)
+        pipeline = _run_pipeline(scenario, strategy)
+        service = _run_service(scenario, strategy)
         assert pipeline == legacy
         assert service == legacy  # notifications AND bit-exact pairing totals
 
-    def test_parity_holds_on_the_process_executor(self, scenario):
-        legacy = _run_legacy(scenario, 2, "process")
-        pipeline = _run_pipeline(scenario, 2, "process")
-        service = _run_service(scenario, 2, "process")
-        assert pipeline == legacy
-        assert service == legacy
+    def test_planned_and_naive_notify_the_same_users(self, scenario):
+        assert _run_service(scenario, "planned")[0] == _run_service(scenario, "naive")[0]
 
-    @pytest.mark.parametrize("workers,executor", [(1, "thread"), (2, "process")])
-    def test_snapshot_restore_midway_changes_nothing(self, scenario, workers, executor):
-        uninterrupted = _run_service(scenario, workers, executor)
-        restarted = _run_service(scenario, workers, executor, snapshot_midway=True)
+    @pytest.mark.parametrize("strategy", ["planned", "naive"])
+    def test_snapshot_restore_midway_changes_nothing(self, scenario, strategy):
+        uninterrupted = _run_service(scenario, strategy)
+        restarted = _run_service(scenario, strategy, snapshot_midway=True)
         assert restarted == uninterrupted
 
     def test_quickstart_pipeline_code_runs_unchanged(self):
