@@ -499,6 +499,16 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     from repro.net import publish_sweep, render_table, run_sweep
 
+    if args.spawn:
+        # Check the spawned server's flags here, so a bad value is reported
+        # as such instead of as a server that never became ready.
+        _checked(
+            lambda: ServiceConfig(
+                prime_bits=args.prime_bits,
+                seed=args.service_seed,
+                net=NetOptions(host=args.host, port=args.port, max_inflight=args.max_inflight),
+            )
+        )
     scenario = make_synthetic_scenario(
         rows=args.rows, cols=args.cols, sigmoid_a=args.sigmoid_a, sigmoid_b=args.sigmoid_b,
         seed=args.seed, extent_meters=args.extent_meters,

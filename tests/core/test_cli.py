@@ -93,9 +93,27 @@ class TestMain:
         [
             (["serve", "--max-inflight", "0"], "max_inflight must be at least 1"),
             (["serve", "--batch-max", "0"], "batch_max must be at least 1"),
+            (["serve", "--port", "-1"], "port must be in [0, 65535]"),
+            (["serve", "--port", "70000"], "port must be in [0, 65535]"),
+            (["serve", "--host", ""], "host must be non-empty"),
+            (["serve", "--batch-window-ms", "-1"], "batch_window_ms must be non-negative"),
+            (["serve", "--per-conn-inflight", "0"], "max_inflight_per_conn must satisfy"),
+            (["serve", "--per-conn-inflight", "512"], "max_inflight_per_conn must satisfy"),
+            (["serve", "--prime-bits", "8"], "prime_bits must be at least 16"),
+            (["serve", "--faults", "explode=1"], "unknown fault 'explode'"),
+            (["serve", "--faults", "conn_drop=1.5"], "conn_drop must be a probability"),
+            (["serve", "--supervise", "--max-inflight", "0"], "max_inflight must be at least 1"),
+            (["loadgen", "--spawn", "--max-inflight", "0"], "max_inflight must be at least 1"),
+            (["loadgen", "--spawn", "--prime-bits", "8"], "prime_bits must be at least 16"),
             (["simulate", "--users", "0"], "num_users must be at least 1"),
             (["simulate", "--prime-bits", "8"], "prime_bits must be at least 16"),
+            (["simulate", "--alert-rate", "-1"], "alert_rate_per_step must be non-negative"),
+            (["simulate", "--radius", "-1"], "alert_radius must be non-negative"),
             (["chaos", "--faults", "explode=1"], "unknown fault 'explode'"),
+            # Lane, ack and spool sites went with the worker tiers.
+            (["chaos", "--faults", "kill=1"], "unknown fault 'kill'"),
+            (["chaos", "--net", "--faults", "hang=0.5"], "unknown fault 'hang'"),
+            (["chaos", "--faults", "torn_snapshot=-1"], "torn_snapshots must be non-negative"),
         ],
     )
     def test_config_errors_exit_2_with_one_line(self, capsys, argv, message):

@@ -57,6 +57,19 @@ class TestFaultPlanParse:
             "fsync_delay=-0.1",
             "slow_client_seconds=-1",
             "seed=4",
+            # The lane, ack and spool sites went with the worker tiers: a
+            # spec naming one must fail loudly, not inject nothing.
+            "kill",
+            "kill=maybe",
+            "kill=1.5",
+            "drop_ack=-0.1",
+            "hang=0.1",
+            "hang_seconds=1",
+            "delay=0.5",
+            "delay_seconds=0.1",
+            "corrupt_ack=0.1",
+            "corrupt_spool=1",
+            "truncate_spool=1",
         ],
     )
     def test_bad_specs_are_rejected(self, spec):

@@ -56,6 +56,28 @@ class TestValidation:
             {"max_age_seconds": 0},
             {"max_age_seconds": -5.0},
             {"faults": "torn_snapshot=-1"},
+            {"alphabet_size": 0},
+            {"prime_bits": 15},
+            {"faults": "fsync_delay=2"},
+            # Lane, ack and spool fault sites went with the worker tiers.
+            {"faults": "kill=0.1"},
+            {"faults": "corrupt_spool=1"},
+            {"net": "127.0.0.1:7425"},
+            {"net": {"host": ""}},
+            {"net": {"port": -1}},
+            {"net": {"port": 65536}},
+            {"net": {"max_inflight": 0}},
+            {"net": {"max_inflight": 8, "low_water": 8}},
+            {"net": {"low_water": -1}},
+            {"net": {"batch_max": 0}},
+            {"net": {"batch_window_ms": -0.5}},
+            {"net": {"max_frame_bytes": 1023}},
+            {"net": {"wire_format": "xml"}},
+            {"net": {"drain_timeout_seconds": -1.0}},
+            {"net": {"max_inflight_per_conn": 0}},
+            {"net": {"max_inflight": 4, "max_inflight_per_conn": 5}},
+            {"net": {"codec_threads": -1}},
+            {"net": {"codec_offload_bytes": -1}},
         ],
     )
     def test_numeric_bounds(self, kwargs):
