@@ -27,6 +27,7 @@ from repro.grid.grid import Grid
 from repro.grid.spread import SpreadEvent, delta_cells, spread_zone_sequence
 from repro.probability.markov import spatially_correlated_probabilities
 from repro.protocol.simulation import AlertServiceSimulation, SimulationConfig
+from repro.service import ServiceConfig
 
 
 def main() -> None:
@@ -45,11 +46,13 @@ def main() -> None:
         move_probability=0.4,
         alert_rate_per_step=1.0,
         alert_radius=120.0,
-        prime_bits=48,
         seed=17,
     )
-    simulation = AlertServiceSimulation(grid, probabilities, config=config)
-    result = simulation.run(steps=8)
+    service_config = ServiceConfig(prime_bits=48, seed=17)
+    with AlertServiceSimulation(
+        grid, probabilities, config=config, service_config=service_config
+    ) as simulation:
+        result = simulation.run(steps=8)
     print(
         f"Routine operation over {len(result.steps)} steps: "
         f"{result.total_reports} encrypted reports, {result.total_alerts} alerts, "

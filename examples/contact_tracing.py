@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from repro import PipelineConfig, SecureAlertPipeline
+from repro import AlertService, PublishZone, ServiceConfig, Subscribe
 from repro.analysis.metrics import improvement_percentage
 from repro.crypto.counting import pairing_cost_of_tokens
 from repro.datasets.synthetic import make_synthetic_scenario
@@ -51,26 +51,32 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. Deploy the system and subscribe users (some exposed, some not).
     # ------------------------------------------------------------------
-    config = PipelineConfig(scheme="huffman", prime_bits=64, seed=29)
-    pipeline = SecureAlertPipeline.from_probabilities(grid, scenario.probabilities, config)
-
-    exposed_users = []
-    for i, cell in enumerate(visited_cells[:2]):
-        user_id = f"exposed-{i}"
-        pipeline.subscribe(user_id, grid.cell_center(cell))
-        exposed_users.append(user_id)
-    for i in range(6):
-        cell = rng.randrange(grid.n_cells)
-        while cell in exposure_zone:
+    config = ServiceConfig(scheme="huffman", prime_bits=64, seed=29)
+    with AlertService(grid, scenario.probabilities, config=config) as service:
+        exposed_users = []
+        for i, cell in enumerate(visited_cells[:2]):
+            user_id = f"exposed-{i}"
+            service.subscribe(Subscribe(user_id=user_id, location=grid.cell_center(cell)))
+            exposed_users.append(user_id)
+        for i in range(6):
             cell = rng.randrange(grid.n_cells)
-        pipeline.subscribe(f"unexposed-{i}", grid.cell_center(cell))
+            while cell in exposure_zone:
+                cell = rng.randrange(grid.n_cells)
+            service.subscribe(Subscribe(user_id=f"unexposed-{i}", location=grid.cell_center(cell)))
 
-    # ------------------------------------------------------------------
-    # 3. Declare the exposure alert and notify.
-    # ------------------------------------------------------------------
-    report = pipeline.raise_alert(exposure_zone, alert_id="contact-trace-patient-0",
-                                  description="Possible COVID-19 exposure in the last 7 days")
-    print(f"Tokens issued: {report.tokens_issued}; pairings spent: {report.pairings_spent}")
+        # --------------------------------------------------------------
+        # 3. Declare the exposure alert (one-shot: evaluated once, not kept
+        #    standing) and notify.
+        # --------------------------------------------------------------
+        report = service.publish_zone(
+            PublishZone(
+                alert_id="contact-trace-patient-0",
+                zone=exposure_zone,
+                description="Possible COVID-19 exposure in the last 7 days",
+                standing=False,
+            )
+        )
+    print(f"Tokens issued: {report.tokens_evaluated}; pairings spent: {report.pairings_spent}")
     print(f"Notified: {', '.join(report.notified_users)}")
     assert set(report.notified_users) == set(exposed_users)
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Public-safety alerts driven by a crime-likelihood model (the Section 7.1 workflow).
 
-The pipeline mirrors the paper's real-data evaluation end to end:
+The workflow mirrors the paper's real-data evaluation end to end:
 
 1. generate a year of (synthetic) Chicago-style crime incidents;
 2. overlay a 32x32 grid and train a logistic-regression model on the first
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from repro import PipelineConfig, SecureAlertPipeline
+from repro import AlertService, PublishZone, ServiceConfig, Subscribe
 from repro.analysis.metrics import improvement_percentage
 from repro.crypto.counting import pairing_cost_of_tokens
 from repro.datasets.chicago import CHICAGO_BOUNDING_BOX, generate_chicago_crime_dataset
@@ -49,37 +49,41 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. Deploy the secure alert system.
     # ------------------------------------------------------------------
-    config = PipelineConfig(scheme="huffman", prime_bits=64, seed=41)
-    pipeline = SecureAlertPipeline.from_probabilities(grid, probabilities, config)
-    print(f"HVE width: {pipeline.init_stats.reference_length} bits over {grid.n_cells} cells")
+    config = ServiceConfig(scheme="huffman", prime_bits=64, seed=41)
+    with AlertService(grid, probabilities, config=config) as service:
+        print(f"HVE width: {service.init_stats.reference_length} bits over {grid.n_cells} cells")
 
-    # Subscribe a population of users, concentrated in the busier cells.
-    # ------------------------------------------------------------------
-    # 3. December incidents trigger alerts (600 m radius around each site:
-    #    roughly the incident's cell, sometimes a neighbour).
-    # ------------------------------------------------------------------
-    december = [incident for incident in dataset.incidents if incident.month == 12][:5]
+        # --------------------------------------------------------------
+        # 3. December incidents trigger alerts (600 m radius around each
+        #    site: roughly the incident's cell, sometimes a neighbour).
+        # --------------------------------------------------------------
+        december = [incident for incident in dataset.incidents if incident.month == 12][:5]
 
-    # Subscribers concentrate where people (and incidents) are: most are
-    # placed proportionally to the model's likelihoods, and a few live right
-    # at the upcoming incident sites (they are the ones who must be notified).
-    rng = random.Random(43)
-    weights = [p**3 + 1e-4 for p in probabilities]
-    for i in range(40):
-        cell = rng.choices(range(grid.n_cells), weights=weights, k=1)[0]
-        pipeline.subscribe(f"user-{i:02d}", grid.cell_center(cell))
-    for i, incident in enumerate(december[:3]):
-        pipeline.subscribe(f"local-{i}", incident.location)
+        # Subscribers concentrate where people (and incidents) are: most are
+        # placed proportionally to the model's likelihoods, and a few live
+        # right at the upcoming incident sites (they are the ones who must be
+        # notified).
+        rng = random.Random(43)
+        weights = [p**3 + 1e-4 for p in probabilities]
+        for i in range(40):
+            cell = rng.choices(range(grid.n_cells), weights=weights, k=1)[0]
+            service.subscribe(Subscribe(user_id=f"user-{i:02d}", location=grid.cell_center(cell)))
+        for i, incident in enumerate(december[:3]):
+            service.subscribe(Subscribe(user_id=f"local-{i}", location=incident.location))
 
-    total_notified = 0
-    for i, incident in enumerate(december):
-        zone = circular_alert_zone(grid, incident.location, radius=600.0, label=incident.category)
-        report = pipeline.raise_alert(zone, alert_id=f"crime-{i}", description=incident.category)
-        total_notified += len(report.notified_users)
-        print(
-            f"Alert {i} ({incident.category}): zone of {zone.size} cells, "
-            f"{report.tokens_issued} tokens, notified {len(report.notified_users)} users"
-        )
+        total_notified = 0
+        for i, incident in enumerate(december):
+            zone = circular_alert_zone(grid, incident.location, radius=600.0, label=incident.category)
+            report = service.publish_zone(
+                PublishZone(
+                    alert_id=f"crime-{i}", zone=zone, description=incident.category, standing=False
+                )
+            )
+            total_notified += len(report.notified_users)
+            print(
+                f"Alert {i} ({incident.category}): zone of {zone.size} cells, "
+                f"{report.tokens_evaluated} tokens, notified {len(report.notified_users)} users"
+            )
     print(f"Total users notified across the demonstrated alerts: {total_notified}")
 
     # ------------------------------------------------------------------

@@ -10,8 +10,7 @@ Huffman coding tree so matching stays cheap.
 This is the session-oriented API: one `AlertService` built from one
 `ServiceConfig`, typed requests in, typed reports out.  Standing zones keep
 their token plan (and its packed worklist) warm across evaluations -- note the
-`plan_reused` flag on every tick after the first.  The original pipeline
-variant lives on unchanged in ``examples/quickstart_legacy.py``.
+`plan_reused` flag on every tick after the first.
 
 Run with::
 

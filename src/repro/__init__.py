@@ -22,13 +22,13 @@ The library is organised bottom-up:
 * :mod:`repro.analysis` -- bounds, metrics and the Section 7 experiment
   drivers.
 * :mod:`repro.service` -- :class:`~repro.service.service.AlertService`, the
-  session-oriented public API: one long-lived session per deployment, typed
-  requests/responses, warm token plans and snapshot/restore.
-* :mod:`repro.core` -- :class:`~repro.core.pipeline.SecureAlertPipeline`, the
-  legacy call-oriented API (now a thin adapter over the service).
+  library's front door: one long-lived session per deployment, built from one
+  :class:`~repro.service.config.ServiceConfig`, with typed requests/responses,
+  warm token plans and snapshot/restore.
+* :mod:`repro.net` -- the asyncio TCP server and client in front of a session.
 """
 
-from repro.core.pipeline import AlertReport, PipelineConfig, SecureAlertPipeline, scheme_by_name
+from repro.encoding import scheme_by_name
 from repro.grid.alert_zone import AlertZone, circular_alert_zone
 from repro.grid.geometry import BoundingBox, Point
 from repro.grid.grid import Grid
@@ -41,20 +41,15 @@ from repro.service import (
     PublishZone,
     RetractZone,
     ServiceConfig,
-    ServiceConfigBuilder,
     Subscribe,
 )
 
 __version__ = "1.1.0"
 
 __all__ = [
-    "AlertReport",
-    "PipelineConfig",
-    "SecureAlertPipeline",
     "scheme_by_name",
     "AlertService",
     "ServiceConfig",
-    "ServiceConfigBuilder",
     "Subscribe",
     "Move",
     "PublishZone",

@@ -13,14 +13,13 @@ runs without writing Python::
     python -m repro info
 
 The CLI is intentionally a thin layer over :mod:`repro.analysis.experiments`,
-:mod:`repro.protocol.simulation` and the public pipeline API; anything it can
-do is equally available as a library call.
+:mod:`repro.protocol.simulation` and the :class:`~repro.service.AlertService`
+session API; anything it can do is equally available as a library call.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import random
 import sys
 import time
@@ -262,17 +261,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             alert_rate_per_step=args.alert_rate,
             alert_radius=args.radius,
             seed=args.seed,
-            prime_bits=args.prime_bits,
-            matching_strategy=args.matching_strategy,
-            crypto_backend=args.backend,
         )
     )
-    # The simulation rides on an AlertService session; translate the one
-    # config (so every shared knob is plumbed exactly once) and apply the
-    # session-only extras on top.
+    # The workload above drives an AlertService session configured by this
+    # one ServiceConfig.
     service_config = _checked(
-        lambda: dataclasses.replace(
-            ServiceConfig.from_simulation(config), incremental=args.incremental
+        lambda: ServiceConfig(
+            prime_bits=args.prime_bits,
+            seed=args.seed,
+            crypto_backend=args.backend,
+            matching_strategy=args.matching_strategy,
+            incremental=args.incremental,
         )
     )
     with AlertServiceSimulation(
@@ -303,7 +302,6 @@ def _serve_config(args: argparse.Namespace) -> ServiceConfig:
                 max_inflight_per_conn=args.per_conn_inflight,
                 batch_max=args.batch_max,
                 batch_window_ms=args.batch_window_ms,
-                pipelined=not args.serial,
             ),
         )
     )
@@ -331,8 +329,6 @@ def _serve_child_argv(args: argparse.Namespace, port: int) -> list:
         argv += ["--journal", args.journal]
     if args.snapshot is not None:
         argv += ["--snapshot", args.snapshot]
-    if args.serial:
-        argv.append("--serial")
     if args.per_conn_inflight is not None:
         argv += ["--per-conn-inflight", str(args.per_conn_inflight)]
     if args.faults is not None:
@@ -480,8 +476,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
             print(
-                f"pipeline: {stats.ticks_executed} ticks "
-                f"({stats.ticks_overlapped} overlapped), "
+                f"dispatch: {stats.ticks_executed} ticks, "
                 f"{stats.group_commits} group commits ({stats.fsyncs_saved} fsyncs saved), "
                 f"stages journal={stats.stage_journal_ms:.1f}ms "
                 f"execute={stats.stage_execute_ms:.1f}ms "
@@ -529,8 +524,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 "--service-seed", str(args.service_seed),
                 "--max-inflight", str(args.max_inflight),
             ]
-            if args.serial:
-                serve_args.append("--serial")
             process = subprocess.Popen(
                 serve_args, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
             )
@@ -566,7 +559,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             process.send_signal(_signal.SIGINT)
             try:
                 process.wait(timeout=30)
-                # Relay the server's drain report (pipeline stage timings and
+                # Relay the server's drain report (dispatch stage timings and
                 # group-commit counters) into our output.
                 for line in process.stdout.read().splitlines():
                     if line and not line.startswith("draining"):
@@ -703,11 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="session snapshot path: restored on start when present, written on graceful stop",
     )
     serve.add_argument(
-        "--serial",
-        action="store_true",
-        help="disable the stage-parallel dispatch pipeline (the ablation baseline)",
-    )
-    serve.add_argument(
         "--per-conn-inflight",
         type=int,
         default=None,
@@ -744,12 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--spawn",
         action="store_true",
         help="spawn `repro serve` as a subprocess (same scenario/crypto flags) and stop it after",
-    )
-    loadgen.add_argument(
-        "--serial",
-        action="store_true",
-        help="with --spawn: start the server with its dispatch pipeline disabled "
-        "(the pipelined-vs-serial ablation baseline)",
     )
     loadgen.add_argument(
         "--rates", type=float, nargs="+", default=[30.0, 60.0, 120.0, 240.0],

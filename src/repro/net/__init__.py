@@ -4,7 +4,7 @@ Puts one :class:`~repro.service.service.AlertService` session behind an
 asyncio TCP front -- :mod:`~repro.net.wire` frames the typed request/response
 payloads of :mod:`repro.service.requests`, :mod:`~repro.net.server` serves
 them with request batching and explicit backpressure,
-:mod:`~repro.net.client` pipelines and reconnects, and
+:mod:`~repro.net.client` keeps many requests in flight and reconnects, and
 :mod:`~repro.net.loadgen` measures the whole stack open-loop.
 :mod:`~repro.net.chaos` proves the tier fault-transparent: injected
 connection drops, corrupt frames and slow clients must not change a single

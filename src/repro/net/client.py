@@ -1,10 +1,10 @@
 """Asyncio client for the alert-service wire protocol.
 
-One :class:`AlertServiceClient` owns one TCP connection and **pipelines**
-requests over it: every request carries an integer id, responses are matched
-back to their futures by id, so many requests can be outstanding at once
-without head-of-line blocking on the client side (the server still executes
-them in arrival order -- that is the service's consistency model).
+One :class:`AlertServiceClient` owns one TCP connection and keeps many
+requests in flight over it: every request carries an integer id, responses
+are matched back to their futures by id, so many requests can be outstanding
+at once without head-of-line blocking on the client side (the server still
+executes them in arrival order -- that is the service's consistency model).
 
 Exactly-once identity
 ---------------------
@@ -16,9 +16,8 @@ counting -- and :meth:`request_with_retry` re-sends the *same* id on every
 attempt, so the server's per-client idempotency table can recognise a resend
 of a request it already executed and answer from cache instead of executing
 twice.  Every request piggybacks the client's answered low-watermark
-(``acked``), bounding that table.  A legacy (v1) server answers the hello
-with a ``BadEnvelope`` error; the client downgrades to the plain PR 8
-envelope and keeps working (without the exactly-once guarantee).
+(``acked``), bounding that table.  Any hello reply other than a
+:class:`HelloAck` fails the connect with a :class:`ClientError`.
 
 Failure handling mirrors the server's contract:
 
@@ -117,7 +116,8 @@ class ServerBusy(RemoteRequestError):
 
 
 class AlertServiceClient:
-    """Pipelined wire-protocol client; safe for many concurrent awaiters.
+    """Wire-protocol client with many requests in flight; safe for many
+    concurrent awaiters.
 
     Parameters
     ----------
@@ -140,9 +140,6 @@ class AlertServiceClient:
     connect_timeout:
         Bound on one dial + handshake; exceeding it raises
         :class:`ConnectTimeout`.
-    handshake:
-        Set False to skip the hello entirely and speak the legacy v1
-        envelope (mainly for compatibility tests).
     """
 
     def __init__(
@@ -155,14 +152,12 @@ class AlertServiceClient:
         client_id: Optional[str] = None,
         epoch: Optional[int] = None,
         connect_timeout: float = 10.0,
-        handshake: bool = True,
     ):
         self.host = host
         self.port = port
         self.options = options if options is not None else NetOptions(host=host, port=port)
         self.timeout = timeout
         self.connect_timeout = connect_timeout
-        self.handshake = handshake
         self.client_id = client_id if client_id else f"c-{os.urandom(6).hex()}"
         self.epoch = epoch if epoch is not None else int.from_bytes(os.urandom(6), "big")
         self.wire_format = resolve_wire_format(self.options.wire_format)
@@ -173,7 +168,6 @@ class AlertServiceClient:
         self._next_id = 0  # monotonic per client *object*: survives reconnects
         self._send_lock = asyncio.Lock()
         self._connect_lock = asyncio.Lock()
-        self._session_active = False
         self._wire_version = BASELINE_WIRE_VERSION
         self._acked = 0  # every request id <= this has been answered
         self._answered: Set[int] = set()
@@ -196,8 +190,8 @@ class AlertServiceClient:
 
     @property
     def session_active(self) -> bool:
-        """True when the current connection negotiated the exactly-once session."""
-        return self.connected and self._session_active
+        """True when connected: every connection negotiates the exactly-once session."""
+        return self.connected
 
     @property
     def negotiated_wire_version(self) -> int:
@@ -228,11 +222,7 @@ class AlertServiceClient:
         except (ConnectionError, OSError) as exc:
             raise ConnectionLost(f"connect to {self.host}:{self.port} failed: {exc}") from exc
         try:
-            if self.handshake:
-                await self._handshake(reader, writer)
-            else:
-                self._session_active = False
-                self._wire_version = BASELINE_WIRE_VERSION
+            await self._handshake(reader, writer)
         except (WireError, ConnectionError, OSError) as exc:
             writer.close()
             raise ConnectionLost(f"handshake failed: {exc}") from exc
@@ -246,10 +236,8 @@ class AlertServiceClient:
     async def _handshake(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         """One hello/ack exchange, run before the receive loop starts.
 
-        The hello itself is a **baseline-version** frame (a v1 peer must be
-        able to parse it); only after a :class:`HelloAck` do both sides stamp
-        the negotiated version.  A v1 server answers the unknown envelope
-        kind with a ``BadEnvelope`` error -- the downgrade signal.
+        The hello itself is a **baseline-version** frame; only after a
+        :class:`HelloAck` do both sides stamp the negotiated version.
         """
         hello = ClientHello(
             client_id=self.client_id,
@@ -264,20 +252,11 @@ class AlertServiceClient:
             raise ConnectionLost("server closed the connection during the handshake")
         payload = frame.get("payload") or {}
         kind = payload.get("type")
-        if kind == "hello_ack":
-            ack = HelloAck.from_wire(payload)
-            self._session_active = True
-            self._wire_version = max(
-                BASELINE_WIRE_VERSION, min(int(ack.wire_version), WIRE_VERSION)
-            )
-            self.last_hello_resumed = ack.resumed
-        elif kind == "error" and payload.get("error") == "BadEnvelope":
-            # Legacy peer: no exactly-once session, plain v1 envelopes.
-            self._session_active = False
-            self._wire_version = BASELINE_WIRE_VERSION
-            self.last_hello_resumed = False
-        else:
+        if kind != "hello_ack":
             raise ClientError(f"unexpected handshake reply {kind!r}")
+        ack = HelloAck.from_wire(payload)
+        self._wire_version = max(BASELINE_WIRE_VERSION, min(int(ack.wire_version), WIRE_VERSION))
+        self.last_hello_resumed = ack.resumed
 
     async def close(self) -> None:
         await self._teardown(ConnectionLost("client closed"))
@@ -293,7 +272,6 @@ class AlertServiceClient:
         receiver, self._receiver = self._receiver, None
         writer, self._writer = self._writer, None
         self._reader = None
-        self._session_active = False
         if writer is not None:
             with contextlib.suppress(ConnectionError, OSError):
                 writer.close()
@@ -392,9 +370,12 @@ class AlertServiceClient:
         try:
             future: asyncio.Future = asyncio.get_running_loop().create_future()
             self._pending[req_id] = future
-            envelope = {"id": req_id, "kind": "request", "payload": request_to_wire(request)}
-            if self._session_active:
-                envelope["acked"] = self._acked
+            envelope = {
+                "id": req_id,
+                "kind": "request",
+                "payload": request_to_wire(request),
+                "acked": self._acked,
+            }
             try:
                 async with self._send_lock:
                     if self._writer is None:
@@ -439,8 +420,7 @@ class AlertServiceClient:
         Every attempt re-sends under the same request id, so a
         :class:`RequestTimeout` whose original attempt the server *did*
         execute is answered from the server's idempotency cache instead of
-        executing twice (against a legacy v1 server the id is simply fresh
-        state each connection, i.e. the historical at-least-once behaviour).
+        executing twice.
         Retries on :class:`ServerBusy`, :class:`ConnectionLost` (including
         :class:`ConnectTimeout`) and :class:`RequestTimeout`; remote request
         errors are the caller's bug and propagate immediately.

@@ -3,46 +3,43 @@
 The service object is single-threaded by design (its matching engine owns
 resident packed worklists, its store a write-ahead journal); the server's job is to put
 thousands of concurrent TCP conversations in front of it without ever letting
-two requests race into the session.  The shape is a three-stage pipeline:
+two requests race into the session.  The shape is one serial loop:
 
 - One **reader coroutine per connection** parses frames
   (:mod:`repro.net.wire`), performs admission control, and enqueues typed
   requests.  Large frame bodies are CRC-checked and decoded on a small
   **codec pool** instead of the event loop.
-- An **admit/journal stage** drains the queue in arrival order into *ticks*
-  of up to ``batch_max`` requests.  Consecutive :class:`IngestBatch` requests
-  inside a tick are **coalesced** into one store pass (all members receive
-  that tick's :class:`MatchReport` -- the documented batching semantic), and
-  when the session journals, the whole tick is appended under **one**
-  group-committed fsync before any of it executes (the PR 6 write-ahead
-  contract, paid once per tick instead of once per request).
-- An **execute stage** runs each tick's requests on a single-worker thread;
-  with ``pipelined=True`` (default) it is double-buffered behind the admit
-  stage, so tick N+1 is admitted, decoded and journaled while tick N's
-  matching pass runs.  A **send stage** encodes responses off the loop
-  (zero-copy ``(header, body)`` parts through ``writelines``) and streams
-  each response as soon as its request completes.
-- **Backpressure** is explicit and unchanged: ``inflight`` counts queued +
-  executing requests across all stages; a request arriving at
-  ``max_inflight`` is answered with a structured BUSY
-  :class:`ErrorResponse` and the connection's reader pauses until inflight
-  falls to ``low_water``.  A per-connection quota
+- One **dispatch loop** takes each tick through five steps, one tick at a
+  time: *collect* drains the queue in arrival order into a tick of up to
+  ``batch_max`` requests; *plan* coalesces consecutive :class:`IngestBatch`
+  requests into one store pass (every member receives that tick's
+  :class:`MatchReport` -- the documented batching semantic); *journal*
+  appends the whole tick under **one** group-committed fsync when the session
+  journals (the write-ahead contract, paid once per tick instead of once per
+  request); *execute* runs the tick's requests in order; *deliver* encodes the
+  responses (zero-copy ``(header, body)`` parts through ``writelines``) and
+  writes them.  Journal and execute run back to back on a single service
+  thread, so the event loop keeps reading and admitting while a tick runs.
+- **Backpressure** is explicit: ``inflight`` counts queued + executing
+  requests; a request arriving at ``max_inflight`` is answered with a
+  structured BUSY :class:`ErrorResponse` and the connection's reader pauses
+  until inflight falls to ``low_water``.  A per-connection quota
   (``max_inflight_per_conn``) additionally makes a flooding client hit its
   *own* BUSY ceiling -- and pause only its own reader -- before it can
   occupy the whole global window and starve polite connections.
 - **Graceful shutdown** stops accepting, drains every inflight request
-  through all stages, answers it, then (when the session journals)
+  through the loop, answers it, then (when the session journals)
   checkpoints durability state via :meth:`AlertService.snapshot` before
   closing connections.
 
 Exactly-once admission: a client that opens with a ``hello`` handshake binds
-its connection to a stable ``(client_id, epoch)`` identity, and the admit
-stage then consults the session's :class:`~repro.service.admission.AdmissionLedger`
+its connection to a stable ``(client_id, epoch)`` identity, and its reader
+then consults the session's :class:`~repro.service.admission.AdmissionLedger`
 before queueing work -- a retry of an already-executed request id is answered
 from the idempotency cache, a retry of an in-flight id parks as a waiter on
 the single execution, and journal entries carry their origin pairs so replay
-rebuilds the cache after a crash.  Legacy clients that skip the handshake are
-served exactly as before, with no dedup tracking.
+rebuilds the cache after a crash.  A peer that never sends a hello is served
+on the baseline envelope, with no dedup tracking.
 
 Handler exceptions never kill a connection: anything :meth:`AlertService.handle`
 raises -- including :class:`UnknownRequestError` with its list of recognised
@@ -122,10 +119,8 @@ class ServerStats:
     requests_coalesced: int = 0
     reader_pauses: int = 0
     faults_injected: int = 0
-    #: Pipeline shape: ticks run, and how many were admitted/journaled while
-    #: the previous tick was still executing (the double-buffering win).
+    #: Ticks journaled and executed by the dispatch loop.
     ticks_executed: int = 0
-    ticks_overlapped: int = 0
     #: Journal group-commit totals, mirrored from the session's journal.
     group_commits: int = 0
     fsyncs_saved: int = 0
@@ -157,8 +152,8 @@ class _Connection:
     inflight: int = 0
     #: Per-connection resume gate for the ``max_inflight_per_conn`` quota.
     resume: asyncio.Event = field(default_factory=asyncio.Event)
-    #: Exactly-once identity, bound by the hello handshake (None = legacy peer
-    #: speaking the baseline envelope, which gets no dedup tracking).
+    #: Exactly-once identity, bound by the hello handshake (None = a peer
+    #: that never sent one: baseline envelope, no dedup tracking).
     client_id: Optional[str] = None
     epoch: int = 0
     #: Envelope version negotiated at hello; replies are encoded with it.
@@ -212,16 +207,9 @@ class AlertServiceServer:
         self._group = service.system.authority.group
         self._server: Optional[asyncio.base_events.Server] = None
         self._queue: asyncio.Queue = asyncio.Queue()
-        # Double buffer between the admit/journal stage and the execute
-        # stage: depth 1 means exactly one journaled tick can wait while the
-        # previous one runs -- stage overlap without unbounded buildup (the
-        # global buildup bound stays max_inflight).
-        self._exec_queue: asyncio.Queue = asyncio.Queue(maxsize=1)
-        self._send_queue: asyncio.Queue = asyncio.Queue()
         self._inflight = 0
         self._draining = False
         self._stopping = False
-        self._exec_busy = False
         self._resume = asyncio.Event()
         self._resume.set()
         # Retries of a request that is still executing park here; the single
@@ -230,16 +218,8 @@ class AlertServiceServer:
         self._connections: Set[_Connection] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._exec_task: Optional[asyncio.Task] = None
-        self._send_task: Optional[asyncio.Task] = None
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="alert-service"
-        )
-        # The journal writer gets its own single thread so a tick's fsync
-        # overlaps the previous tick's matching pass instead of queueing
-        # behind it on the service thread.
-        self._journal_executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="alert-journal"
         )
         self._codec: Optional[concurrent.futures.ThreadPoolExecutor] = None
         if options.codec_threads > 0:
@@ -263,9 +243,6 @@ class AlertServiceServer:
             self._handle_connection, host=self.options.host, port=self.options.port
         )
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
-        if self.options.pipelined:
-            self._exec_task = asyncio.create_task(self._exec_loop())
-            self._send_task = asyncio.create_task(self._send_loop())
 
     async def stop(self, graceful: bool = True) -> None:
         """Stop the server; graceful stops drain and answer every inflight request."""
@@ -276,19 +253,16 @@ class AlertServiceServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        tasks = [t for t in (self._dispatcher, self._exec_task, self._send_task) if t is not None]
-        if tasks:
+        dispatcher = self._dispatcher
+        if dispatcher is not None:
             await self._queue.put(_SENTINEL)
             if graceful:
                 with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        asyncio.gather(*tasks), timeout=self.options.drain_timeout_seconds
-                    )
-            for task in tasks:
-                if not task.done():
-                    task.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await task
+                    await asyncio.wait_for(dispatcher, timeout=self.options.drain_timeout_seconds)
+            if not dispatcher.done():
+                dispatcher.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await dispatcher
         if graceful and self.snapshot_path is not None:
             # Snapshotting also checkpoints the write-ahead journal, so the
             # drained state is durable before the last connection closes.
@@ -296,7 +270,6 @@ class AlertServiceServer:
         for conn in list(self._connections):
             await self._close_connection(conn)
         self._executor.shutdown(wait=True)
-        self._journal_executor.shutdown(wait=True)
         if self._codec is not None:
             self._codec.shutdown(wait=True)
 
@@ -514,7 +487,7 @@ class AlertServiceServer:
         await self._send(conn, {"id": req_id, "kind": "response", "payload": ack.to_wire()})
 
     # ------------------------------------------------------------------
-    # Stage 1: admit + group-commit journal
+    # The dispatch loop: collect -> plan -> journal -> execute -> deliver
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
         while True:
@@ -522,39 +495,11 @@ class AlertServiceServer:
             if tick is None:
                 break
             plan = self._plan_tick(tick)
-            try:
-                await self._journal_tick(plan)
-            except Exception as exc:  # noqa: BLE001 - durability failure, not a crash
-                # The write-ahead rule forbids executing anything that did
-                # not make it to the journal: answer the whole tick with the
-                # failure and keep serving (matching the serial server,
-                # where the in-handler append raised into an error frame).
-                payload = ErrorResponse.from_exception(exc).to_wire()
-                for members, _ in plan:
-                    await self._deliver(members, payload, True)
-                if self._stopping:
-                    break
-                continue
-            self.stats.ticks_executed += 1
-            self.stats.batches_executed += len(plan)
-            if self.options.pipelined:
-                if self._exec_busy:
-                    self.stats.ticks_overlapped += 1
-                await self._exec_queue.put(plan)
-            else:
-                # Serial (ablation) mode: the same tick semantics without
-                # stage overlap -- journal, execute and send back-to-back.
-                started = time.perf_counter()
-                results = await self._loop.run_in_executor(
-                    self._executor, self._run_tick, plan, False
-                )
-                self.stats.stage_execute_ms += (time.perf_counter() - started) * 1000.0
-                for members, payload, is_error in results:
-                    await self._deliver(members, payload, is_error)
+            results = await self._loop.run_in_executor(self._executor, self._run_tick, plan)
+            for members, payload, is_error in results:
+                await self._deliver(members, payload, is_error)
             if self._stopping:
                 break
-        if self.options.pipelined:
-            await self._exec_queue.put(_SENTINEL)
 
     async def _collect_tick(self) -> Optional[list]:
         """One tick: the queue's head plus everything already waiting.
@@ -623,14 +568,38 @@ class AlertServiceServer:
             i += 1
         return plan
 
-    async def _journal_tick(self, plan: list) -> None:
-        """Group-commit the tick: every request durable under one fsync.
+    def _run_tick(self, plan: list) -> list:
+        """Journal, then execute, a tick's units on the service thread.
 
-        Runs on a dedicated journal thread so the fsync overlaps the
-        previous tick's matching pass.  The write-ahead contract is
-        per-tick what it was per-request: nothing in the tick may execute
-        until this returns.
+        Returns ``[(members, payload, is_error), ...]`` in plan order.  The
+        write-ahead rule forbids executing anything that did not make it to
+        the journal, so a failed append answers every unit with the failure
+        and executes none of them.  ``response_to_wire`` runs here too,
+        keeping serialization off the event loop.  The tick counters are
+        written only on this thread.
         """
+        try:
+            self._journal_tick(plan)
+        except Exception as exc:  # noqa: BLE001 - durability failure, not a crash
+            payload = ErrorResponse.from_exception(exc).to_wire()
+            return [(members, payload, True) for members, _ in plan]
+        self.stats.ticks_executed += 1
+        self.stats.batches_executed += len(plan)
+        started = time.perf_counter()
+        results = []
+        for members, request in plan:
+            try:
+                payload = response_to_wire(self.service.handle(request))
+                is_error = False
+            except Exception as exc:  # noqa: BLE001 - mapped to a structured frame
+                payload = ErrorResponse.from_exception(exc).to_wire()
+                is_error = True
+            results.append((members, payload, is_error))
+        self.stats.stage_execute_ms += (time.perf_counter() - started) * 1000.0
+        return results
+
+    def _journal_tick(self, plan: list) -> None:
+        """Group-commit the tick: every request durable under one fsync."""
         service = self.service
         if getattr(service, "journal", None) is None:
             return
@@ -643,66 +612,10 @@ class AlertServiceServer:
             for members, _ in plan
         ]
         started = time.perf_counter()
-        await self._loop.run_in_executor(
-            self._journal_executor,
-            functools.partial(service.journal_requests, requests, origins),
-        )
+        service.journal_requests(requests, origins)
         self.stats.stage_journal_ms += (time.perf_counter() - started) * 1000.0
         self.stats.group_commits = service.journal.group_commits
         self.stats.fsyncs_saved = service.journal.fsyncs_saved
-
-    # ------------------------------------------------------------------
-    # Stage 2: execute (the only path into service.handle)
-    # ------------------------------------------------------------------
-    async def _exec_loop(self) -> None:
-        while True:
-            plan = await self._exec_queue.get()
-            if plan is _SENTINEL:
-                break
-            self._exec_busy = True
-            try:
-                started = time.perf_counter()
-                await self._loop.run_in_executor(self._executor, self._run_tick, plan, True)
-                self.stats.stage_execute_ms += (time.perf_counter() - started) * 1000.0
-            finally:
-                self._exec_busy = False
-        self._send_queue.put_nowait(_SENTINEL)
-
-    def _run_tick(self, plan: list, push: bool) -> Optional[list]:
-        """Execute a tick's units in order on the service thread.
-
-        With ``push`` (pipelined mode) each completed unit is handed to the
-        send stage immediately -- the first response of a tick goes out
-        while later units still run.  Serial mode returns the results for
-        inline delivery.  ``response_to_wire`` runs here too, keeping
-        serialization off the event loop.
-        """
-        results: Optional[list] = None if push else []
-        for members, request in plan:
-            try:
-                payload = response_to_wire(self.service.handle(request))
-                is_error = False
-            except Exception as exc:  # noqa: BLE001 - mapped to a structured frame
-                payload = ErrorResponse.from_exception(exc).to_wire()
-                is_error = True
-            if push:
-                self._loop.call_soon_threadsafe(
-                    self._send_queue.put_nowait, (members, payload, is_error)
-                )
-            else:
-                results.append((members, payload, is_error))
-        return results
-
-    # ------------------------------------------------------------------
-    # Stage 3: encode + send
-    # ------------------------------------------------------------------
-    async def _send_loop(self) -> None:
-        while True:
-            item = await self._send_queue.get()
-            if item is _SENTINEL:
-                return
-            members, payload, is_error = item
-            await self._deliver(members, payload, is_error)
 
     async def _deliver(self, members: list, payload: dict, is_error: bool) -> None:
         # Record each identified execution's outcome (successes become
@@ -784,7 +697,7 @@ class AlertServiceServer:
         The fault-free path batches every frame into a single ``writelines``
         + drain (zero-copy: the parts are never concatenated).  With an
         injector armed, frames go one at a time so each gets its own fate
-        decision, exactly as the serial server gave them.
+        decision.
         """
         if conn.closed:
             return
@@ -857,7 +770,6 @@ class AlertServiceServer:
             "low_water": self.options.resolved_low_water,
             "per_conn_quota": self.options.resolved_per_conn_quota,
             "batch_max": self.options.batch_max,
-            "pipelined": self.options.pipelined,
             "codec_threads": self.options.codec_threads,
             "stats": self.stats.snapshot(),
             "time": time.time(),

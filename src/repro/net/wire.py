@@ -81,9 +81,9 @@ __all__ = [
 WIRE_MAGIC = 0x5245  # "RE"
 # Highest frame version this codec speaks.  v2 adds the exactly-once envelope
 # fields (client hello handshake, per-request ``acked`` watermark); v1 is the
-# PR 8 envelope.  Encoders default to the baseline so that the handshake frame
-# itself -- and every frame sent to a peer that never negotiated -- stays
-# readable by v1-only peers.
+# baseline envelope.  Encoders default to the baseline, so the handshake frame
+# itself -- and every frame sent to a peer that never sends a hello -- is a
+# v1 frame.
 WIRE_VERSION = 2
 BASELINE_WIRE_VERSION = 1
 FLAG_MSGPACK = 0x01

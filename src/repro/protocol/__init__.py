@@ -17,7 +17,10 @@ variable-length workflow of Fig. 3:
   deduplication, cheapest-first ordering, a fused exponent-arithmetic fast
   path and incremental re-evaluation.
 * :mod:`repro.protocol.store` -- the provider's persistent ciphertext store
-  with freshness management and batch alert processing.
+  with freshness management.
+* :mod:`repro.protocol.simulation` -- a population-scale simulation driving an
+  :class:`~repro.service.service.AlertService` session.  It sits above the
+  service layer, so it is imported from its module, not re-exported here.
 """
 
 from repro.protocol.alert_system import SecureAlertSystem, SystemInitStats
@@ -30,21 +33,15 @@ from repro.protocol.matching import (
     TokenPlan,
 )
 from repro.protocol.messages import AlertDeclaration, LocationUpdate, Notification, TokenBatch
-from repro.protocol.simulation import AlertServiceSimulation, SimulationConfig, SimulationResult
-from repro.protocol.store import BatchMatcher, CiphertextStore, StoredReport
+from repro.protocol.store import CiphertextStore, StoredReport
 
 __all__ = [
-    "AlertServiceSimulation",
-    "SimulationConfig",
-    "SimulationResult",
-
     "MatchCandidate",
     "MatchingEngine",
     "MatchingOptions",
     "PlannedToken",
     "TokenPlan",
 
-    "BatchMatcher",
     "CiphertextStore",
     "StoredReport",
 

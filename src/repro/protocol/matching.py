@@ -18,10 +18,11 @@ paid once per *alert batch*, not once per (user, token):
   wildcard pattern when every index it accepts is also accepted by the
   wildcard, so a cached non-match of the general pattern answers the
   specialised one for free (and a specialised match answers the general one).
-* :class:`MatchingEngine` -- the single matching path used by
-  :class:`~repro.protocol.entities.ServiceProvider`,
-  :class:`~repro.protocol.store.BatchMatcher` and (through them) the alert
-  system and pipeline.  Strategies: ``"naive"`` replicates the seed's
+* :class:`MatchingEngine` -- the single matching path, used by
+  :class:`~repro.protocol.entities.ServiceProvider` (and through it the alert
+  system and the service session); :meth:`MatchingEngine.match_store` matches
+  a batch of alerts against a :class:`~repro.protocol.store.CiphertextStore`
+  in one pass.  Strategies: ``"naive"`` replicates the seed's
   element-wise evaluation exactly (parity/regression testing), ``"planned"``
   evaluates through the plan with the fused exponent-arithmetic path
   (:meth:`~repro.crypto.hve.HVE.matches_via_plan`).  Both record identical

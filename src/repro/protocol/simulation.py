@@ -2,7 +2,7 @@
 
 The paper evaluates per-alert matching cost; a deployed service additionally
 faces a *stream* of location updates and alerts.  This module provides a small
-discrete-time simulator used by the examples and the load benchmarks:
+discrete-time simulator used by ``repro simulate`` and the examples:
 
 * a population of users moving over the grid with a lazy random-waypoint model
   biased towards popular cells (people spend more time at popular places);
@@ -19,7 +19,7 @@ numbers are end-to-end measurements, not estimates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.encoding.base import EncodingScheme
@@ -35,17 +35,18 @@ __all__ = ["SimulationConfig", "StepStats", "SimulationResult", "AlertServiceSim
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Tunables of a simulation run."""
+    """The workload of a simulation run: population, movement and alert stream.
+
+    Crypto and matching settings are not workload: they come from the
+    session's :class:`~repro.service.config.ServiceConfig`.
+    """
 
     num_users: int = 50
     move_probability: float = 0.3
     report_every_steps: int = 1
     alert_rate_per_step: float = 0.5
     alert_radius: float = 100.0
-    prime_bits: int = 48
     seed: int = 0
-    matching_strategy: str = "planned"
-    crypto_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.num_users < 1:
@@ -117,16 +118,10 @@ class AlertServiceSimulation:
     """Drives an :class:`~repro.service.service.AlertService` session with
     moving users and random alerts.
 
-    A thin adapter over the session API: every simulated alert is a one-shot
-    ``PublishZone`` request.  The legacy surface is preserved -- ``system``
-    still exposes the underlying
-    :class:`~repro.protocol.alert_system.SecureAlertSystem`.  Pass
-    ``service_config`` to tune session behaviour beyond what
-    :class:`SimulationConfig` carries (incremental re-evaluation, report
-    freshness); its crypto/matching fields must then
-    agree with the simulation config, which otherwise provides them via
-    :meth:`ServiceConfig.from_simulation
-    <repro.service.config.ServiceConfig.from_simulation>`.
+    Every simulated alert is a one-shot ``PublishZone`` request.  ``config``
+    sets the workload; ``service_config`` sets everything the session itself
+    needs (scheme, primes, backend, matching strategy).  ``system`` exposes the
+    underlying :class:`~repro.protocol.alert_system.SecureAlertSystem`.
     """
 
     def __init__(
@@ -142,7 +137,7 @@ class AlertServiceSimulation:
         self.service = AlertService(
             grid,
             probabilities,
-            config=service_config or ServiceConfig.from_simulation(self.config),
+            config=service_config or ServiceConfig(),
             scheme=scheme,
             rng=random.Random(self.config.seed + 1),
         )

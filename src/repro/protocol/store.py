@@ -1,4 +1,4 @@
-"""Ciphertext store and batch alert processing for the service provider.
+"""The service provider's ciphertext store: freshness and persistence.
 
 The in-memory :class:`~repro.protocol.entities.ServiceProvider` keeps exactly
 one ciphertext per user; a production deployment additionally needs
@@ -7,13 +7,12 @@ one ciphertext per user; a production deployment additionally needs
   reporting should not be matched against (and notified for) zones they left
   hours ago;
 * **persistence** -- the provider must survive restarts without asking every
-  subscriber to re-upload;
-* **batch alert processing** -- several alerts declared together (e.g. all
-  sites of one contact-tracing case, or a backlog accumulated during
-  maintenance) should be matched in one pass over the store, with
-  per-user short-circuiting across the whole batch.
+  subscriber to re-upload.
 
-This module adds those capabilities on top of the same HVE matching path.  The
+Matching a batch of alerts against the store in one pass is
+:meth:`MatchingEngine.match_store <repro.protocol.matching.MatchingEngine.match_store>`;
+:meth:`CiphertextStore.save` / :meth:`CiphertextStore.load` take the same
+engine to persist and restore its incremental state with the ciphertexts.  The
 persistence format stores only what the provider legitimately holds anyway:
 pseudonyms, ciphertext components and timestamps -- never plaintext locations.
 """
@@ -23,16 +22,16 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.crypto.group import BilinearGroup
-from repro.crypto.hve import HVE, HVECiphertext
+from repro.crypto.hve import HVECiphertext
 from repro.crypto.serialization import deserialize_ciphertext, serialize_ciphertext
 from repro.durability import atomic_write_bytes
-from repro.protocol.matching import MatchCandidate, MatchingEngine, MatchingOptions
-from repro.protocol.messages import LocationUpdate, Notification, TokenBatch
+from repro.protocol.matching import MatchCandidate, MatchingEngine
+from repro.protocol.messages import LocationUpdate
 
-__all__ = ["StoredReport", "CiphertextStore", "BatchMatcher"]
+__all__ = ["StoredReport", "CiphertextStore"]
 
 
 @dataclass(frozen=True)
@@ -233,70 +232,3 @@ class CiphertextStore:
         payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
         return cls.from_payload(payload, group, engine=engine)
 
-
-class BatchMatcher:
-    """Matches batches of alerts against a ciphertext store in one pass.
-
-    All evaluation is delegated to a
-    :class:`~repro.protocol.matching.MatchingEngine` (planned strategy by
-    default); pass ``options=MatchingOptions(...)`` to select the naive
-    parity path or incremental re-evaluation, or inject a
-    pre-built ``engine`` (e.g. the service provider's, to share incremental
-    state).
-    """
-
-    def __init__(
-        self,
-        hve: HVE,
-        store: CiphertextStore,
-        engine: Optional[MatchingEngine] = None,
-        options: Optional[MatchingOptions] = None,
-    ):
-        if engine is not None and options is not None:
-            raise ValueError("pass either a pre-built engine or matching options, not both")
-        self.hve = hve
-        self.store = store
-        self.engine = engine if engine is not None else MatchingEngine(hve, options)
-
-    def process(self, batches: Sequence[TokenBatch], now: float, descriptions: Optional[dict[str, str]] = None) -> list[Notification]:
-        """Evaluate every alert batch against every fresh report.
-
-        For each user, alerts are evaluated in order and each alert
-        short-circuits on its first matching token; a user can be notified for
-        several distinct alerts (they are independent events), but only once
-        per alert.  The store is scanned once: the fresh-report list and the
-        token plan are both built a single time for the whole pass.
-        """
-        return self.engine.match_store(batches, self.store, now, descriptions=descriptions)
-
-    def pairing_cost_upper_bound(self, batches: Iterable[TokenBatch], now: float) -> int:
-        """Worst-case pairings (no short-circuiting) for matching the batches."""
-        per_ciphertext = sum(batch.pairing_cost_per_ciphertext for batch in batches)
-        return per_ciphertext * len(self.store.fresh_reports(now))
-
-    def save(self, path: str | pathlib.Path) -> None:
-        """Persist the store together with this matcher's incremental state."""
-        self.store.save(path, engine=self.engine)
-
-    @classmethod
-    def load(
-        cls,
-        path: str | pathlib.Path,
-        hve: HVE,
-        options: Optional[MatchingOptions] = None,
-    ) -> "BatchMatcher":
-        """Restore a matcher (store + engine incremental state) from :meth:`save`.
-
-        When the file carries matching state and no ``options`` are given,
-        the engine defaults to ``incremental=True`` so the restored state is
-        actually consulted.  An explicitly non-incremental engine skips the
-        import entirely: it would never read or maintain the state, and a
-        half-imported cache must not make ``standing_alerts()`` lie.
-        """
-        store = CiphertextStore.load(path, hve.group)
-        if options is None and store.matching_state is not None:
-            options = MatchingOptions(incremental=True)
-        engine = MatchingEngine(hve, options)
-        if store.matching_state is not None and engine.options.incremental:
-            engine.import_state(store.matching_state)
-        return cls(hve, store, engine=engine)

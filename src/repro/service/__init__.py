@@ -5,14 +5,12 @@ built from a single :class:`~repro.service.config.ServiceConfig`, sends it the
 typed requests of :mod:`repro.service.requests` and receives typed responses.
 The session owns the matching engine and the ciphertext store, and keeps
 standing zones' token plans (and their packed worklists) warm across ticks --
-the properties that make high-frequency small batches cheap.
-
-The legacy front doors (:class:`~repro.core.pipeline.SecureAlertPipeline`,
-:class:`~repro.protocol.simulation.AlertServiceSimulation`) are thin adapters
-over this package.
+the properties that make high-frequency small batches cheap.  It is the
+library's one front door: :class:`~repro.protocol.simulation.AlertServiceSimulation`
+and the network server (:mod:`repro.net`) both drive a session of this package.
 """
 
-from repro.service.config import NetOptions, ServiceConfig, ServiceConfigBuilder
+from repro.service.config import NetOptions, ServiceConfig
 from repro.service.faults import ChaosSoakOutcome, FaultInjector, FaultPlan, run_chaos_soak
 from repro.service.admission import AdmissionDecision, AdmissionLedger
 from repro.service.journal import JournalWriteError, RequestJournal
@@ -44,7 +42,6 @@ __all__ = [
     "AlertService",
     "NetOptions",
     "ServiceConfig",
-    "ServiceConfigBuilder",
     "SessionStats",
     "StandingZone",
     "Subscribe",

@@ -1,31 +1,25 @@
-"""The unified configuration surface of the session-oriented service.
+"""The one configuration surface of the session-oriented service.
 
-Before this package existed a deployment was configured through three
-overlapping surfaces -- :class:`~repro.core.pipeline.PipelineConfig`,
-:class:`~repro.protocol.simulation.SimulationConfig` and
-:class:`~repro.protocol.matching.MatchingOptions` -- each plumbing a subset of
-the same knobs.  :class:`ServiceConfig` subsumes them: one frozen dataclass
-covering the deployment (scheme, primes, backend), the matching engine
-(strategy, order, dedupe/subsume, incremental re-evaluation) and the session
-itself (report freshness, journal, fault injection, network tier).
+:class:`ServiceConfig` is a frozen dataclass covering the deployment (scheme,
+primes, backend), the matching engine (strategy, order, dedupe/subsume,
+incremental re-evaluation) and the session itself (report freshness, journal,
+fault injection, network tier).  Build one by keyword; derive a variant with
+:func:`dataclasses.replace`, which re-runs every validator.
 
 Every validator raises ``ValueError`` naming *all* recognised choices, so a
-typo tells the operator what would have worked.  :class:`ServiceConfigBuilder`
-offers fluent construction; ``ServiceConfig.from_pipeline`` /
-``from_simulation`` translate the legacy configs so the old front doors can
-ride on the service unchanged.
+typo tells the operator what would have worked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.crypto.backends import backend_names
 from repro.encoding import SCHEME_NAMES, canonical_scheme_name
 from repro.protocol.matching import MATCHING_STRATEGIES, TOKEN_ORDERS, MatchingOptions
 
-__all__ = ["NetOptions", "ServiceConfig", "ServiceConfigBuilder"]
+__all__ = ["NetOptions", "ServiceConfig"]
 
 
 def _require_choice(value: str, choices: tuple[str, ...], what: str) -> None:
@@ -73,11 +67,6 @@ class NetOptions:
         the whole global window and starve polite connections.  ``None``
         (default) disables the per-connection cap; must not exceed
         ``max_inflight`` when set.
-    pipelined:
-        Run the server's dispatch loop in stage-parallel (double-buffered)
-        mode: tick N+1 is admitted, decoded and journaled while tick N's
-        matching pass runs on the worker thread.  ``False`` falls back to the
-        strictly serial loop (the pipelined-vs-serial ablation's baseline).
     codec_threads:
         Size of the codec offload pool that moves frame decode + response
         encode off the event loop.  ``0`` keeps all codec work on the loop.
@@ -98,7 +87,6 @@ class NetOptions:
     wire_format: str = "auto"
     drain_timeout_seconds: float = 10.0
     max_inflight_per_conn: Optional[int] = None
-    pipelined: bool = True
     codec_threads: int = 2
     codec_offload_bytes: int = 2048
 
@@ -266,122 +254,3 @@ class ServiceConfig:
         from repro.service.faults import FaultPlan
 
         return FaultPlan.parse(self.faults, seed=self.fault_seed)
-
-    # ------------------------------------------------------------------
-    # Legacy translations
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_pipeline(cls, config: Any) -> "ServiceConfig":
-        """Translate a :class:`~repro.core.pipeline.PipelineConfig`.
-
-        Duck-typed on purpose: importing the pipeline here would create an
-        import cycle (the pipeline is an adapter over the service).
-        """
-        return cls(
-            scheme=config.scheme,
-            alphabet_size=config.alphabet_size,
-            prime_bits=config.prime_bits,
-            seed=config.seed,
-            crypto_backend=config.crypto_backend,
-            matching_strategy=config.matching_strategy,
-        )
-
-    @classmethod
-    def from_simulation(cls, config: Any) -> "ServiceConfig":
-        """Translate a :class:`~repro.protocol.simulation.SimulationConfig`."""
-        return cls(
-            prime_bits=config.prime_bits,
-            seed=config.seed,
-            crypto_backend=config.crypto_backend,
-            matching_strategy=config.matching_strategy,
-        )
-
-    @staticmethod
-    def builder() -> "ServiceConfigBuilder":
-        """A fluent builder over the same validated defaults."""
-        return ServiceConfigBuilder()
-
-
-class ServiceConfigBuilder:
-    """Fluent construction of a :class:`ServiceConfig`.
-
-    Each ``with_*`` method sets only the arguments actually passed; every
-    untouched field keeps the dataclass default, and the full validator set
-    runs once at :meth:`build`::
-
-        config = (
-            ServiceConfig.builder()
-            .with_scheme("huffman")
-            .with_crypto(prime_bits=48, seed=7)
-            .with_matching(incremental=True)
-            .build()
-        )
-    """
-
-    _UNSET: Any = object()
-
-    def __init__(self) -> None:
-        self._values: dict[str, Any] = {}
-
-    def _set(self, **kwargs: Any) -> "ServiceConfigBuilder":
-        valid = {f.name for f in fields(ServiceConfig)}
-        for key, value in kwargs.items():
-            if value is self._UNSET:
-                continue
-            assert key in valid, f"builder bug: {key} is not a ServiceConfig field"
-            self._values[key] = value
-        return self
-
-    def with_scheme(self, scheme: str, alphabet_size: Any = _UNSET) -> "ServiceConfigBuilder":
-        """Select the encoding scheme (and alphabet size for B-ary Huffman)."""
-        return self._set(scheme=scheme, alphabet_size=alphabet_size)
-
-    def with_crypto(
-        self,
-        prime_bits: Any = _UNSET,
-        backend: Any = _UNSET,
-        seed: Any = _UNSET,
-    ) -> "ServiceConfigBuilder":
-        """Configure the HVE substrate: prime size, arithmetic backend, RNG seed."""
-        return self._set(prime_bits=prime_bits, crypto_backend=backend, seed=seed)
-
-    def with_matching(
-        self,
-        strategy: Any = _UNSET,
-        order: Any = _UNSET,
-        dedupe: Any = _UNSET,
-        subsume: Any = _UNSET,
-        incremental: Any = _UNSET,
-    ) -> "ServiceConfigBuilder":
-        """Configure the matching engine's evaluation behaviour."""
-        return self._set(
-            matching_strategy=strategy,
-            token_order=order,
-            dedupe=dedupe,
-            subsume=subsume,
-            incremental=incremental,
-        )
-
-    def with_store(
-        self,
-        max_age_seconds: Any = _UNSET,
-        journal_path: Any = _UNSET,
-    ) -> "ServiceConfigBuilder":
-        """Configure the ciphertext store: freshness and WAL journal."""
-        return self._set(max_age_seconds=max_age_seconds, journal_path=journal_path)
-
-    def with_faults(self, faults: Any = _UNSET, fault_seed: Any = _UNSET) -> "ServiceConfigBuilder":
-        """Configure fault injection for a reproducible chaos run."""
-        return self._set(faults=faults, fault_seed=fault_seed)
-
-    def with_net(self, options: Any = _UNSET, **fields: Any) -> "ServiceConfigBuilder":
-        """Configure the network tier: pass a :class:`NetOptions` or its fields."""
-        if options is not self._UNSET and fields:
-            raise ValueError("pass either a NetOptions instance or keyword fields, not both")
-        if options is self._UNSET:
-            options = NetOptions(**fields)
-        return self._set(net=options)
-
-    def build(self) -> ServiceConfig:
-        """Validate and produce the config (raises ``ValueError`` on bad values)."""
-        return ServiceConfig(**self._values)

@@ -500,9 +500,8 @@ class ClientHello:
     These are session-control payloads, deliberately *not* registered in
     :data:`REQUEST_WIRE_TYPES`: they never reach
     :meth:`~repro.service.service.AlertService.handle` and are never
-    journaled.  A pre-handshake (v1) server answers the hello envelope with a
-    ``BadEnvelope`` :class:`ErrorResponse`, which the client treats as
-    "legacy peer" and downgrades.
+    journaled.  The client requires a :class:`HelloAck` in reply and fails
+    the connect on anything else.
     """
 
     client_id: str

@@ -1,10 +1,9 @@
-"""The :class:`AlertService`: a session-oriented front door for the protocol.
+"""The :class:`AlertService`: the library's session-oriented front door.
 
 The paper's protocol is a *standing* service: users continuously upload
 encrypted locations and the provider continuously evaluates alert zones.  The
-earlier front doors (:class:`~repro.core.pipeline.SecureAlertPipeline`,
-:class:`~repro.protocol.alert_system.SecureAlertSystem`) were call-oriented --
-every alert re-planned its tokens.  Following the classic expert-system
+underlying :class:`~repro.protocol.alert_system.SecureAlertSystem` is
+call-oriented -- every alert re-plans its tokens.  Following the classic expert-system
 *shell* pattern (a stable typed facade over an evolving inference core), this
 module makes **sessions** the unit of work instead:
 
@@ -23,9 +22,8 @@ module makes **sessions** the unit of work instead:
 * observer hooks receive per-request :class:`~repro.service.requests.RequestMetrics`
   (pairings, plan reuse, candidates) for monitoring.
 
-The legacy front doors are thin adapters over this class; their entry points
-are parity-tested to produce identical notifications and bit-exact pairing
-totals.
+Driving a session is parity-tested against driving a bare
+``SecureAlertSystem``: identical notifications and bit-exact pairing totals.
 """
 
 from __future__ import annotations
@@ -121,8 +119,8 @@ class AlertService:
         ``random.Random(config.seed)``.
     system:
         Adopt an already-constructed
-        :class:`~repro.protocol.alert_system.SecureAlertSystem` (the legacy
-        pipeline does this): its engine and parties are reused, its stored
+        :class:`~repro.protocol.alert_system.SecureAlertSystem`: its engine
+        and parties are reused, its stored
         ciphertexts back-fill the session store, and future uploads flow into
         both.
 

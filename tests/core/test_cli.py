@@ -80,7 +80,10 @@ class TestMain:
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "totals:" in output
+        # Pinned from the release before the simulation took its crypto and
+        # matching settings from one ServiceConfig: the rewrite changes no
+        # simulated number.
+        assert "totals: 3 reports, 3 alerts, 6 notifications, 44 pairings" in output
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

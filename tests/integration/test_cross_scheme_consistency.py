@@ -12,11 +12,11 @@ import random
 import pytest
 
 from repro.analysis.experiments import build_encodings, default_scheme_suite
-from repro.core.pipeline import PipelineConfig, SecureAlertPipeline
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.encoding.canonical import CanonicalHuffmanEncodingScheme
 from repro.encoding.quadtree import QuadtreeEncodingScheme
 from repro.grid.alert_zone import AlertZone
+from repro.service import AlertService, PublishZone, ServiceConfig, Subscribe
 
 SCHEMES = ["huffman", "huffman-canonical", "fixed", "sgo", "balanced", "bary"]
 
@@ -47,14 +47,14 @@ class TestIdenticalOutcomesAcrossSchemes:
     def test_every_scheme_notifies_the_same_users(self, scenario, population, zones):
         outcomes_by_scheme = {}
         for scheme in SCHEMES:
-            config = PipelineConfig(scheme=scheme, alphabet_size=3, prime_bits=32, seed=504)
-            pipeline = SecureAlertPipeline.from_probabilities(scenario.grid, scenario.probabilities, config)
-            for user_id, cell in population.items():
-                pipeline.subscribe(user_id, scenario.grid.cell_center(cell))
-            outcomes = []
-            for index, zone in enumerate(zones):
-                report = pipeline.raise_alert(zone, alert_id=f"zone-{index}")
-                outcomes.append(report.notified_users)
+            config = ServiceConfig(scheme=scheme, alphabet_size=3, prime_bits=32, seed=504)
+            with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
+                for user_id, cell in population.items():
+                    service.subscribe(Subscribe(user_id=user_id, location=scenario.grid.cell_center(cell)))
+                outcomes = []
+                for index, zone in enumerate(zones):
+                    request = PublishZone(alert_id=f"zone-{index}", zone=zone, standing=False)
+                    outcomes.append(service.publish_zone(request).notified_users)
             outcomes_by_scheme[scheme] = outcomes
 
         reference = outcomes_by_scheme[SCHEMES[0]]

@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-from repro.analysis.metrics import workload_pairing_cost
-from repro.core.pipeline import PipelineConfig, SecureAlertPipeline
 from repro.datasets.chicago import CHICAGO_BOUNDING_BOX, generate_chicago_crime_dataset
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.encoding.huffman import HuffmanEncodingScheme
@@ -14,6 +12,11 @@ from repro.grid.geometry import haversine_distance
 from repro.grid.grid import Grid
 from repro.probability.crime_model import CellLikelihoodModel
 from repro.protocol.alert_system import SecureAlertSystem
+from repro.service import AlertService, PublishZone, ServiceConfig, Subscribe
+
+
+def _one_shot(service, alert_id, zone):
+    return service.publish_zone(PublishZone(alert_id=alert_id, zone=zone, standing=False))
 
 
 class TestEncryptedMatchingAgreesWithPlaintext:
@@ -22,18 +25,17 @@ class TestEncryptedMatchingAgreesWithPlaintext:
     @pytest.mark.parametrize("scheme", ["huffman", "fixed", "sgo", "balanced"])
     def test_many_users_many_zones(self, scheme):
         scenario = make_synthetic_scenario(rows=6, cols=6, sigmoid_a=0.9, sigmoid_b=50, seed=61, extent_meters=600.0)
-        config = PipelineConfig(scheme=scheme, prime_bits=32, seed=62)
-        pipeline = SecureAlertPipeline.from_probabilities(scenario.grid, scenario.probabilities, config)
+        config = ServiceConfig(scheme=scheme, prime_bits=32, seed=62)
+        with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
+            rng = random.Random(63)
+            for i in range(12):
+                cell = rng.randrange(scenario.grid.n_cells)
+                service.subscribe(Subscribe(user_id=f"user-{i}", location=scenario.grid.cell_center(cell)))
 
-        rng = random.Random(63)
-        for i in range(12):
-            cell = rng.randrange(scenario.grid.n_cells)
-            pipeline.subscribe(f"user-{i}", scenario.grid.cell_center(cell))
-
-        for alert_index in range(4):
-            zone = scenario.workloads.triggered_radius_workload(150.0, 1).zones[0]
-            report = pipeline.raise_alert(zone, alert_id=f"alert-{alert_index}")
-            assert list(report.notified_users) == pipeline.users_actually_in_zone(zone)
+            for alert_index in range(4):
+                zone = scenario.workloads.triggered_radius_workload(150.0, 1).zones[0]
+                report = _one_shot(service, f"alert-{alert_index}", zone)
+                assert list(report.notified_users) == service.users_actually_in_zone(zone)
 
 
 class TestAnalyticCostsMatchRealPairings:
@@ -75,9 +77,6 @@ class TestContactTracingScenario:
 
     def test_union_zone_notifies_exposed_users_only(self):
         scenario = make_synthetic_scenario(rows=8, cols=8, sigmoid_a=0.9, sigmoid_b=50, seed=81, extent_meters=800.0)
-        config = PipelineConfig(scheme="huffman", prime_bits=32, seed=82)
-        pipeline = SecureAlertPipeline.from_probabilities(scenario.grid, scenario.probabilities, config)
-
         visited_cells = [9, 27, 54]
         sites = [
             circular_alert_zone(scenario.grid, scenario.grid.cell_center(cell), radius=40.0)
@@ -85,16 +84,18 @@ class TestContactTracingScenario:
         ]
         exposure_zone = union_zone(sites, label="patient-123")
 
-        pipeline.subscribe("exposed-1", scenario.grid.cell_center(9))
-        pipeline.subscribe("exposed-2", scenario.grid.cell_center(54))
-        pipeline.subscribe("safe", scenario.grid.cell_center(63))
+        config = ServiceConfig(scheme="huffman", prime_bits=32, seed=82)
+        with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
+            service.subscribe(Subscribe(user_id="exposed-1", location=scenario.grid.cell_center(9)))
+            service.subscribe(Subscribe(user_id="exposed-2", location=scenario.grid.cell_center(54)))
+            service.subscribe(Subscribe(user_id="safe", location=scenario.grid.cell_center(63)))
 
-        report = pipeline.raise_alert(exposure_zone, alert_id="contact-trace")
-        assert report.notified_users == ("exposed-1", "exposed-2")
+            report = _one_shot(service, "contact-trace", exposure_zone)
+            assert report.notified_users == ("exposed-1", "exposed-2")
 
 
-class TestChicagoPipeline:
-    """Real-data style pipeline: crime model likelihoods -> encoding -> alerts."""
+class TestChicagoWorkflow:
+    """Real-data style workflow: crime model likelihoods -> encoding -> alerts."""
 
     def test_crime_likelihoods_drive_the_encoding(self):
         dataset = generate_chicago_crime_dataset(seed=2015, volume_scale=0.3)
@@ -110,8 +111,9 @@ class TestChicagoPipeline:
         cold_code = encoding.artifacts.prefix_code_by_cell[coldest]
         assert len(hot_code) <= len(cold_code)
 
-        config = PipelineConfig(scheme="huffman", prime_bits=32, seed=91)
-        pipeline = SecureAlertPipeline.from_probabilities(grid, probabilities, config)
-        pipeline.subscribe("resident", grid.cell_center(hottest))
-        report = pipeline.raise_alert_at(grid.cell_center(hottest), radius=400.0, alert_id="incident")
-        assert "resident" in report.notified_users
+        config = ServiceConfig(scheme="huffman", prime_bits=32, seed=91)
+        with AlertService(grid, probabilities, config=config) as service:
+            service.subscribe(Subscribe(user_id="resident", location=grid.cell_center(hottest)))
+            zone = circular_alert_zone(grid, grid.cell_center(hottest), 400.0, label="incident")
+            report = _one_shot(service, "incident", zone)
+            assert "resident" in report.notified_users

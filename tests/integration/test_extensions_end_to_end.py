@@ -10,18 +10,25 @@ import random
 
 import pytest
 
-from repro.core.pipeline import PipelineConfig, SecureAlertPipeline, scheme_by_name
 from repro.crypto.group import BilinearGroup
 from repro.crypto.hve import HVE
+from repro.encoding import scheme_by_name
 from repro.encoding.canonical import CanonicalHuffmanEncodingScheme
 from repro.encoding.huffman import HuffmanEncodingScheme
+from repro.grid.alert_zone import AlertZone, circular_alert_zone
 from repro.grid.geometry import BoundingBox
 from repro.grid.grid import Grid
 from repro.grid.spread import SpreadEvent, delta_cells, spread_zone_sequence
 from repro.grid.trajectories import TrajectoryGenerator, exposure_zone_from_trajectory
 from repro.probability.markov import spatially_correlated_probabilities
+from repro.protocol.matching import MatchingEngine
 from repro.protocol.messages import LocationUpdate, TokenBatch
-from repro.protocol.store import BatchMatcher, CiphertextStore
+from repro.protocol.store import CiphertextStore
+from repro.service import AlertService, PublishZone, ServiceConfig, Subscribe
+
+
+def _one_shot(service, alert_id, zone):
+    return service.publish_zone(PublishZone(alert_id=alert_id, zone=zone, standing=False))
 
 
 @pytest.fixture(scope="module")
@@ -34,35 +41,35 @@ def city():
 class TestTrajectoryDrivenContactTracing:
     def test_exposed_users_are_notified(self, city):
         grid, probabilities = city
-        config = PipelineConfig(scheme="huffman", prime_bits=32, seed=302)
-        pipeline = SecureAlertPipeline.from_probabilities(grid, probabilities, config)
-
         generator = TrajectoryGenerator(grid, probabilities, mean_dwell=900.0, rng=random.Random(303))
         patient = generator.generate("patient-0", num_visits=5)
         exposure = exposure_zone_from_trajectory(grid, patient, radius=40.0, min_dwell=300.0)
 
         visited = patient.visited_cells(grid)
-        pipeline.subscribe("co-visitor", grid.cell_center(visited[0]))
-        # Place a non-exposed user in a cell outside the exposure zone.
-        outside = next(cell for cell in range(grid.n_cells) if cell not in exposure)
-        pipeline.subscribe("bystander", grid.cell_center(outside))
+        config = ServiceConfig(scheme="huffman", prime_bits=32, seed=302)
+        with AlertService(grid, probabilities, config=config) as service:
+            service.subscribe(Subscribe(user_id="co-visitor", location=grid.cell_center(visited[0])))
+            # Place a non-exposed user in a cell outside the exposure zone.
+            outside = next(cell for cell in range(grid.n_cells) if cell not in exposure)
+            service.subscribe(Subscribe(user_id="bystander", location=grid.cell_center(outside)))
 
-        report = pipeline.raise_alert(exposure, alert_id="trace-patient-0")
-        assert set(report.notified_users) == set(pipeline.users_actually_in_zone(exposure))
-        assert "bystander" not in report.notified_users
+            report = _one_shot(service, "trace-patient-0", exposure)
+            assert set(report.notified_users) == set(service.users_actually_in_zone(exposure))
+            assert "bystander" not in report.notified_users
 
 
-class TestCanonicalSchemeThroughPipeline:
+class TestCanonicalSchemeThroughService:
     def test_scheme_by_name_and_matching(self, city):
         grid, probabilities = city
         scheme = scheme_by_name("huffman-canonical")
         assert isinstance(scheme, CanonicalHuffmanEncodingScheme)
-        config = PipelineConfig(scheme="huffman-canonical", prime_bits=32, seed=304)
-        pipeline = SecureAlertPipeline.from_probabilities(grid, probabilities, config)
-        pipeline.subscribe("alice", grid.cell_center(44))
-        report = pipeline.raise_alert_at(grid.cell_center(44), radius=40.0, alert_id="canonical-alert")
-        assert report.notified_users == ("alice",)
-        assert pipeline.encoding_name() == "huffman-canonical"
+        config = ServiceConfig(scheme="huffman-canonical", prime_bits=32, seed=304)
+        with AlertService(grid, probabilities, config=config) as service:
+            service.subscribe(Subscribe(user_id="alice", location=grid.cell_center(44)))
+            zone = circular_alert_zone(grid, grid.cell_center(44), 40.0, label="canonical-alert")
+            report = _one_shot(service, "canonical-alert", zone)
+            assert report.notified_users == ("alice",)
+            assert service.encoding_name() == "huffman-canonical"
 
 
 class TestStoreBackedProvider:
@@ -83,21 +90,17 @@ class TestStoreBackedProvider:
         # Simulate a provider restart: reload the store and match a batch of
         # two alerts in one pass.
         restored = CiphertextStore.load(tmp_path / "sp-store.json", group)
-        matcher = BatchMatcher(hve, restored)
         batches = [
             TokenBatch(alert_id="zone-a", tokens=tuple(hve.generate_tokens(keys.secret, encoding.token_patterns([33, 34])))),
             TokenBatch(alert_id="zone-b", tokens=tuple(hve.generate_tokens(keys.secret, encoding.token_patterns([50])))),
         ]
-        notifications = matcher.process(batches, now=10.0)
+        notifications = MatchingEngine(hve).match_store(batches, restored, now=10.0)
         assert {(n.user_id, n.alert_id) for n in notifications} == {("inside", "zone-a")}
 
 
 class TestSpreadDeltaTokensEndToEnd:
     def test_delta_tokens_notify_newly_exposed_users_only(self, city):
         grid, probabilities = city
-        config = PipelineConfig(scheme="huffman", prime_bits=32, seed=307)
-        pipeline = SecureAlertPipeline.from_probabilities(grid, probabilities, config)
-
         event = SpreadEvent(grid, seed_cell=44, spread_probability=0.9, decay=1.0, rng=random.Random(308))
         zones = spread_zone_sequence(event, steps=3, label="leak")
         deltas = delta_cells(zones)
@@ -106,15 +109,15 @@ class TestSpreadDeltaTokensEndToEnd:
         if not second_step_cells:
             pytest.skip("spread did not grow in this simulation (improbable with these parameters)")
         newly_exposed_cell = second_step_cells[0]
-        pipeline.subscribe("late-exposed", grid.cell_center(newly_exposed_cell))
-        pipeline.subscribe("never-exposed", grid.cell_center(99))
+        config = ServiceConfig(scheme="huffman", prime_bits=32, seed=307)
+        with AlertService(grid, probabilities, config=config) as service:
+            service.subscribe(Subscribe(user_id="late-exposed", location=grid.cell_center(newly_exposed_cell)))
+            service.subscribe(Subscribe(user_id="never-exposed", location=grid.cell_center(99)))
 
-        # Step 0: only the seed cell is alerted -> nobody is notified.
-        from repro.grid.alert_zone import AlertZone
-
-        step0 = pipeline.raise_alert(AlertZone(cell_ids=deltas[0]), alert_id="leak-t0")
-        assert "late-exposed" not in step0.notified_users
-        # Step 1: the delta tokens cover the newly affected cells only.
-        step1 = pipeline.raise_alert(AlertZone(cell_ids=deltas[1]), alert_id="leak-t1")
-        assert "late-exposed" in step1.notified_users
-        assert "never-exposed" not in step1.notified_users
+            # Step 0: only the seed cell is alerted -> nobody is notified.
+            step0 = _one_shot(service, "leak-t0", AlertZone(cell_ids=deltas[0]))
+            assert "late-exposed" not in step0.notified_users
+            # Step 1: the delta tokens cover the newly affected cells only.
+            step1 = _one_shot(service, "leak-t1", AlertZone(cell_ids=deltas[1]))
+            assert "late-exposed" in step1.notified_users
+            assert "never-exposed" not in step1.notified_users

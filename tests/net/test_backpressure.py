@@ -2,7 +2,7 @@
 
 Pinned here:
 
-* **high-water BUSY**: a pipelined flood against ``max_inflight=4`` gets
+* **high-water BUSY**: a concurrent flood against ``max_inflight=4`` gets
   structured :class:`ServerBusy` rejections (never silent drops, never a
   ballooning queue) while every admitted request completes, and the reader
   actually pauses past high-water;
@@ -63,7 +63,7 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-def test_pipelined_flood_hits_busy_and_pauses_reader(scenario):
+def test_concurrent_flood_hits_busy_and_pauses_reader(scenario):
     async def drive():
         config = ServiceConfig(prime_bits=32, seed=19)
         with AlertService(scenario.grid, scenario.probabilities, config=config) as service:

@@ -9,10 +9,11 @@ Pinned here:
   server's idempotency table, the retry re-sends the *same* request id and
   the server answers from the in-flight execution or its cached response:
   exactly one execution, a clean answer;
-* **version negotiation interoperates both ways**: a handshake-less client
-  against the new server gets the legacy at-least-once behaviour, and the
-  new client downgrades cleanly when a v1 server answers its hello with
-  ``BadEnvelope``;
+* **the hello is the server's option, the client's duty**: a peer that
+  speaks raw request frames without a hello is still served, at least once
+  and without dedup tracking, while the client refuses (with a
+  :class:`ClientError`) a server that answers its hello with anything but a
+  ``HelloAck``;
 * **connect() is bounded**: a listener that accepts and then stalls raises
   :class:`ConnectTimeout` instead of hanging the caller;
 * **retry backoff jitter is seeded per client**: same ``(client_id, epoch)``
@@ -37,8 +38,8 @@ from repro.net import (
     AlertServiceServer,
     ShadowEncryptor,
 )
-from repro.net.client import ConnectionLost, ConnectTimeout, RemoteRequestError
-from repro.net.wire import read_frame, write_frame
+from repro.net.client import ClientError, ConnectionLost, ConnectTimeout, RemoteRequestError
+from repro.net.wire import HEADER, decode_body_checked, read_frame, write_frame
 from repro.service import (
     AlertService,
     ErrorResponse,
@@ -50,7 +51,8 @@ from repro.service import (
     NetOptions,
     ServiceConfig,
     Subscribe,
-    response_to_wire,
+    request_to_wire,
+    response_from_wire,
 )
 
 
@@ -195,67 +197,73 @@ def test_request_ids_survive_reconnect_and_watermark_advances(scenario):
 
 
 # ----------------------------------------------------------------------
-# Version negotiation: old peers on either side keep working
+# The hello: optional for a raw peer, required by the client
 # ----------------------------------------------------------------------
 def test_handshakeless_client_gets_legacy_behaviour_against_new_server(scenario):
+    """A peer that sends request frames without a hello is served on the
+    baseline envelope, untracked by the admission ledger."""
+
     async def drive():
         with make_service(scenario) as service:
             options = NetOptions(port=0, max_inflight=16)
             async with AlertServiceServer(service, options) as server:
-                client = AlertServiceClient("127.0.0.1", server.port, handshake=False)
-                async with client:
-                    assert not client.session_active
-                    assert client.negotiated_wire_version == BASELINE_WIRE_VERSION
-                    response = await client.request(
-                        Subscribe(user_id="alice", location=scenario.grid.cell_center(5))
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                try:
+                    request = Subscribe(user_id="alice", location=scenario.grid.cell_center(5))
+                    await write_frame(
+                        writer, {"id": 1, "kind": "request", "payload": request_to_wire(request)}
                     )
+                    _, version, flags, length, crc = HEADER.unpack(
+                        await reader.readexactly(HEADER.size)
+                    )
+                    frame = decode_body_checked(await reader.readexactly(length), flags, crc)
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
                 stats = server.stats
-        return response, stats
+        return version, frame, stats
 
-    response, stats = asyncio.run(drive())
+    version, frame, stats = asyncio.run(drive())
+    assert version == BASELINE_WIRE_VERSION
+    assert frame["id"] == 1 and frame["kind"] == "response"
+    response = response_from_wire(frame["payload"])
     assert isinstance(response, IngestReceipt)
     assert stats.handshakes == 0  # no hello, no admission tracking
 
 
-def test_new_client_downgrades_against_a_v1_server():
-    """A v1 server answers the hello with BadEnvelope; the client downgrades."""
+def test_client_rejects_a_bad_envelope_hello_reply():
+    """A server that answers the hello with BadEnvelope fails the connect."""
 
-    async def v1_server(reader, writer):
-        # The legacy loop: anything that is not kind="request" is rejected
-        # with a structured BadEnvelope, requests get a canned receipt.
+    async def hello_refusing_server(reader, writer):
+        # Anything that is not kind="request" is rejected with a structured
+        # BadEnvelope -- including the client's hello.
         while True:
             frame = await read_frame(reader, 1 << 20)
             if frame is None:
                 break
             req_id = frame.get("id")
             req_id = req_id if isinstance(req_id, int) else -1
-            if frame.get("kind") != "request":
-                payload = ErrorResponse(
-                    error="BadEnvelope",
-                    message="frames must carry an integer 'id' and kind='request'",
-                ).to_wire()
-            else:
-                payload = response_to_wire(
-                    IngestReceipt(user_id="legacy", sequence_number=1, stored=True)
-                )
+            payload = ErrorResponse(
+                error="BadEnvelope",
+                message="frames must carry an integer 'id' and kind='request'",
+            ).to_wire()
             await write_frame(writer, {"id": req_id, "kind": "response", "payload": payload})
 
     async def drive():
-        server = await asyncio.start_server(v1_server, "127.0.0.1", 0)
+        server = await asyncio.start_server(hello_refusing_server, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         try:
             client = AlertServiceClient("127.0.0.1", port, client_id="c1", epoch=1)
-            async with client:
-                assert not client.session_active
-                assert client.negotiated_wire_version == BASELINE_WIRE_VERSION
-                response = await client.request(EvaluateStanding())
-            return response
+            with pytest.raises(ClientError, match="unexpected handshake reply") as excinfo:
+                await client.connect()
+            assert not client.connected
+            return excinfo.value
         finally:
             server.close()
             await server.wait_closed()
 
-    response = asyncio.run(drive())
-    assert isinstance(response, IngestReceipt) and response.user_id == "legacy"
+    error = asyncio.run(drive())
+    assert not isinstance(error, ConnectionLost)  # not retryable: a protocol refusal
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Group-commit crash safety: ``kill -9`` between journal and execute.
 
-The pipelined server journals a whole tick under one fsync *before* any of
+The server journals a whole tick under one fsync *before* any of
 it executes.  The property that must survive a real SIGKILL is the
 write-ahead contract at tick granularity:
 

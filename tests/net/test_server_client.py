@@ -180,7 +180,7 @@ def test_consecutive_ingest_requests_coalesce_into_one_pass(scenario):
                     )
                     assert all(r.to_wire()["type"] == "match_report" for r in results)
                     stats = server.stats
-            # 8 pipelined single-update ingests must not cost 8 passes.
+            # 8 concurrent single-update ingests must not cost 8 passes.
             assert stats.requests_coalesced > 0
             assert stats.batches_executed < 8
 

@@ -4,6 +4,15 @@ import pytest
 
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.protocol.simulation import AlertServiceSimulation, SimulationConfig, SimulationResult
+from repro.service import ServiceConfig
+
+SERVICE_CONFIG = ServiceConfig(prime_bits=32)
+
+
+def _simulation(scenario, config):
+    return AlertServiceSimulation(
+        scenario.grid, scenario.probabilities, config=config, service_config=SERVICE_CONFIG
+    )
 
 
 @pytest.fixture(scope="module")
@@ -24,16 +33,22 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(alert_radius=-5)
 
+    def test_crypto_settings_are_not_workload(self):
+        """Primes, backend and strategy live only in the ServiceConfig."""
+        for field in ("prime_bits", "crypto_backend", "matching_strategy"):
+            with pytest.raises(TypeError):
+                SimulationConfig(**{field: None})
+
 
 class TestAlertServiceSimulation:
     def test_population_is_registered(self, scenario):
-        config = SimulationConfig(num_users=8, seed=1, prime_bits=32)
-        simulation = AlertServiceSimulation(scenario.grid, scenario.probabilities, config=config)
+        config = SimulationConfig(num_users=8, seed=1)
+        simulation = _simulation(scenario, config)
         assert simulation.system.provider.subscriber_count == 8
 
     def test_run_produces_per_step_stats(self, scenario):
-        config = SimulationConfig(num_users=6, alert_rate_per_step=1.0, alert_radius=80.0, seed=2, prime_bits=32)
-        simulation = AlertServiceSimulation(scenario.grid, scenario.probabilities, config=config)
+        config = SimulationConfig(num_users=6, alert_rate_per_step=1.0, alert_radius=80.0, seed=2)
+        simulation = _simulation(scenario, config)
         result = simulation.run(steps=4)
         assert isinstance(result, SimulationResult)
         assert len(result.steps) == 4
@@ -43,8 +58,8 @@ class TestAlertServiceSimulation:
         assert set(rows[0]) == {"step", "reports", "alerts", "tokens", "notifications", "pairings"}
 
     def test_alerts_consume_pairings(self, scenario):
-        config = SimulationConfig(num_users=6, alert_rate_per_step=2.0, alert_radius=80.0, seed=3, prime_bits=32)
-        simulation = AlertServiceSimulation(scenario.grid, scenario.probabilities, config=config)
+        config = SimulationConfig(num_users=6, alert_rate_per_step=2.0, alert_radius=80.0, seed=3)
+        simulation = _simulation(scenario, config)
         result = simulation.run(steps=5)
         # With rate 2 per step over 5 steps, at least one alert fires with
         # overwhelming probability for this seed; pairings follow.
@@ -53,21 +68,35 @@ class TestAlertServiceSimulation:
         assert result.total_pairings == sum(s.pairings_spent for s in result.steps)
 
     def test_zero_alert_rate_never_spends_pairings(self, scenario):
-        config = SimulationConfig(num_users=5, alert_rate_per_step=0.0, seed=4, prime_bits=32)
-        simulation = AlertServiceSimulation(scenario.grid, scenario.probabilities, config=config)
+        config = SimulationConfig(num_users=5, alert_rate_per_step=0.0, seed=4)
+        simulation = _simulation(scenario, config)
         result = simulation.run(steps=3)
         assert result.total_alerts == 0
         assert result.total_pairings == 0
         assert result.total_notifications == 0
 
     def test_reproducibility(self, scenario):
-        config = SimulationConfig(num_users=5, alert_rate_per_step=1.0, seed=5, prime_bits=32)
-        first = AlertServiceSimulation(scenario.grid, scenario.probabilities, config=config).run(3)
-        second = AlertServiceSimulation(scenario.grid, scenario.probabilities, config=config).run(3)
+        config = SimulationConfig(num_users=5, alert_rate_per_step=1.0, seed=5)
+        first = _simulation(scenario, config).run(3)
+        second = _simulation(scenario, config).run(3)
         assert first.as_rows() == second.as_rows()
 
+    def test_service_config_drives_the_session(self, scenario):
+        """Both matching strategies, chosen in the ServiceConfig, give the
+        same per-step rows: notifications and pairing totals."""
+        config = SimulationConfig(num_users=6, alert_rate_per_step=2.0, alert_radius=80.0, seed=3)
+        rows = {}
+        for strategy in ("planned", "naive"):
+            service_config = ServiceConfig(prime_bits=32, matching_strategy=strategy)
+            with AlertServiceSimulation(
+                scenario.grid, scenario.probabilities, config=config, service_config=service_config
+            ) as simulation:
+                assert simulation.service.config is service_config
+                rows[strategy] = simulation.run(3).as_rows()
+        assert rows["planned"] == rows["naive"]
+
     def test_invalid_steps(self, scenario):
-        config = SimulationConfig(num_users=3, seed=6, prime_bits=32)
-        simulation = AlertServiceSimulation(scenario.grid, scenario.probabilities, config=config)
+        config = SimulationConfig(num_users=3, seed=6)
+        simulation = _simulation(scenario, config)
         with pytest.raises(ValueError):
             simulation.run(0)

@@ -1,4 +1,4 @@
-"""Tests for the ciphertext store and batch alert matching."""
+"""Tests for the ciphertext store and one-pass batch matching against it."""
 
 import random
 
@@ -7,8 +7,9 @@ import pytest
 from repro.crypto.group import BilinearGroup
 from repro.crypto.hve import HVE
 from repro.encoding.huffman import HuffmanEncodingScheme
+from repro.protocol.matching import MatchingEngine, MatchingOptions
 from repro.protocol.messages import LocationUpdate, TokenBatch
-from repro.protocol.store import BatchMatcher, CiphertextStore
+from repro.protocol.store import CiphertextStore
 
 PROBABILITIES = [0.2, 0.1, 0.5, 0.4, 0.6, 0.3, 0.25, 0.15]
 
@@ -32,6 +33,11 @@ def _batch(setup, alert_id, cells):
     encoding, hve, keys = setup
     tokens = hve.generate_tokens(keys.secret, encoding.token_patterns(cells))
     return TokenBatch(alert_id=alert_id, tokens=tuple(tokens))
+
+
+def _match(hve, store, batches, now, **kwargs):
+    """One pass of ``batches`` over ``store`` through a fresh planned engine."""
+    return MatchingEngine(hve).match_store(batches, store, now, **kwargs)
 
 
 class TestCiphertextStore:
@@ -80,110 +86,83 @@ class TestCiphertextStore:
         assert restored.max_age_seconds == 3600.0
         assert restored.matching_state is None  # none was saved
         # Restored ciphertexts still match correctly.
-        matcher = BatchMatcher(hve, restored)
         batch = _batch(setup, "zone-a", [2])
-        notified = [n.user_id for n in matcher.process([batch], now=30.0)]
+        notified = [n.user_id for n in _match(hve, restored, [batch], now=30.0)]
         assert notified == ["alice"]
 
     def test_restart_preserves_standing_alert_state(self, setup, tmp_path):
         """Provider restart: store + incremental engine state round-trip, so
         standing alerts re-evaluate to identical notifications at zero
         pairings for unchanged users."""
-        from repro.protocol.matching import MatchingEngine, MatchingOptions
-
         encoding, hve, keys = setup
         store = CiphertextStore()
         store.ingest(_update(setup, "alice", 2), received_at=10.0)
         store.ingest(_update(setup, "bob", 5), received_at=20.0)
         engine = MatchingEngine(hve, MatchingOptions(incremental=True))
-        matcher = BatchMatcher(hve, store, engine=engine)
         batches = [_batch(setup, "standing-1", [2, 3]), _batch(setup, "standing-2", [5])]
-        first = matcher.process(batches, now=30.0)
+        first = engine.match_store(batches, store, now=30.0)
         assert first  # the scenario actually notifies someone
 
         path = tmp_path / "provider.json"
-        matcher.save(path)
+        store.save(path, engine=engine)
 
         # --- restart: fresh engine + store rebuilt from disk ---------------
-        restored = BatchMatcher.load(path, hve, options=MatchingOptions(incremental=True))
-        assert len(restored.store) == 2
-        assert restored.engine.standing_alerts() == ["standing-1", "standing-2"]
+        restored_engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        restored = CiphertextStore.load(path, hve.group, engine=restored_engine)
+        assert len(restored) == 2
+        assert restored_engine.standing_alerts() == ["standing-1", "standing-2"]
 
         counter = hve.group.counter
         before = counter.total
-        second = restored.process(batches, now=40.0)
+        second = restored_engine.match_store(batches, restored, now=40.0)
         assert second == first
         assert counter.total == before  # every outcome served from restored cache
 
         # A new report after the restart is re-evaluated normally.
-        restored.store.ingest(_update(setup, "alice", 4, sequence=1), received_at=50.0)
-        refreshed = restored.process(batches, now=60.0)
+        restored.ingest(_update(setup, "alice", 4, sequence=1), received_at=50.0)
+        refreshed = restored_engine.match_store(batches, restored, now=60.0)
         assert {(n.user_id, n.alert_id) for n in refreshed} == {("bob", "standing-2")}
 
     def test_restart_drops_state_for_redeclared_zone(self, setup, tmp_path):
         """A standing alert re-declared over a different zone after a restart
         must not be served stale outcomes (signature check survives disk)."""
-        from repro.protocol.matching import MatchingEngine, MatchingOptions
-
         encoding, hve, keys = setup
         store = CiphertextStore()
         store.ingest(_update(setup, "alice", 2), received_at=10.0)
         engine = MatchingEngine(hve, MatchingOptions(incremental=True))
-        matcher = BatchMatcher(hve, store, engine=engine)
-        matcher.process([_batch(setup, "standing", [2])], now=20.0)
+        engine.match_store([_batch(setup, "standing", [2])], store, now=20.0)
         path = tmp_path / "provider.json"
-        matcher.save(path)
+        store.save(path, engine=engine)
 
-        restored = BatchMatcher.load(path, hve, options=MatchingOptions(incremental=True))
+        restored_engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        restored = CiphertextStore.load(path, hve.group, engine=restored_engine)
         counter = hve.group.counter
         before = counter.total
         moved_zone = _batch(setup, "standing", [5])  # same alert id, new cells
-        notifications = restored.process([moved_zone], now=30.0)
+        notifications = restored_engine.match_store([moved_zone], restored, now=30.0)
         assert counter.total > before  # cache was invalidated, not served stale
         assert notifications == []
 
-    def test_load_without_options_defaults_to_incremental(self, setup, tmp_path):
-        """A stateful file restores into an incremental engine by default, so
-        the persisted cache is actually consulted."""
-        from repro.protocol.matching import MatchingEngine, MatchingOptions
-
+    def test_load_without_engine_keeps_state_for_the_caller(self, setup, tmp_path):
+        """Loading a stateful file without an engine imports nothing, but
+        keeps the raw state on the store so a caller can defer the engine."""
         encoding, hve, keys = setup
         store = CiphertextStore()
         store.ingest(_update(setup, "alice", 2), received_at=10.0)
-        matcher = BatchMatcher(hve, store, engine=MatchingEngine(hve, MatchingOptions(incremental=True)))
-        batch = _batch(setup, "standing", [2])
-        first = matcher.process([batch], now=20.0)
+        engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        engine.match_store([_batch(setup, "standing", [2])], store, now=20.0)
         path = tmp_path / "provider.json"
-        matcher.save(path)
+        store.save(path, engine=engine)
 
-        restored = BatchMatcher.load(path, hve)  # no options
-        assert restored.engine.options.incremental
-        assert restored.engine.standing_alerts() == ["standing"]
-        before = hve.group.counter.total
-        assert restored.process([batch], now=30.0) == first
-        assert hve.group.counter.total == before
-
-    def test_load_with_non_incremental_options_skips_state(self, setup, tmp_path):
-        """An explicitly non-incremental engine never imports state it would
-        neither consult nor maintain."""
-        from repro.protocol.matching import MatchingEngine, MatchingOptions
-
-        encoding, hve, keys = setup
-        store = CiphertextStore()
-        store.ingest(_update(setup, "alice", 2), received_at=10.0)
-        matcher = BatchMatcher(hve, store, engine=MatchingEngine(hve, MatchingOptions(incremental=True)))
-        matcher.process([_batch(setup, "standing", [2])], now=20.0)
-        path = tmp_path / "provider.json"
-        matcher.save(path)
-
-        restored = BatchMatcher.load(path, hve, options=MatchingOptions(incremental=False))
-        assert restored.engine.standing_alerts() == []
-        assert restored.store.matching_state is not None  # still readable by the caller
+        restored = CiphertextStore.load(path, hve.group)
+        assert restored.matching_state is not None
+        later = MatchingEngine(hve, MatchingOptions(incremental=True))
+        assert later.standing_alerts() == []
+        later.import_state(restored.matching_state)
+        assert later.standing_alerts() == ["standing"]
 
     def test_save_without_engine_then_load_with_engine(self, setup, tmp_path):
         """Loading a stateless file into an engine is a no-op, not an error."""
-        from repro.protocol.matching import MatchingEngine, MatchingOptions
-
         encoding, hve, keys = setup
         store = CiphertextStore()
         store.ingest(_update(setup, "alice", 2), received_at=10.0)
@@ -208,8 +187,8 @@ class TestCiphertextStore:
         zones = [[0, 1], [2, 3, 4], [5], [6, 7]]
         for i, zone_cells in enumerate(zones):
             batch = _batch(setup, f"zone-{i}", zone_cells)
-            before = [n.user_id for n in BatchMatcher(hve, store).process([batch], now=2.0)]
-            after = [n.user_id for n in BatchMatcher(hve, restored).process([batch], now=2.0)]
+            before = [n.user_id for n in _match(hve, store, [batch], now=2.0)]
+            after = [n.user_id for n in _match(hve, restored, [batch], now=2.0)]
             assert after == before == sorted(u for u, c in cells.items() if c in zone_cells)
 
     def test_stale_purge_boundary_age_equals_max_age(self, setup):
@@ -239,22 +218,22 @@ class TestCiphertextStore:
         assert report.reported_at == 40.0
         # Matching reflects the newest report (cell 3), not the stragglers.
         _, hve, _ = setup
-        matcher = BatchMatcher(hve, store)
-        assert [n.user_id for n in matcher.process([_batch(setup, "z3", [3])], now=50.0)] == ["alice"]
-        assert matcher.process([_batch(setup, "z5", [5])], now=50.0) == []
-        assert matcher.process([_batch(setup, "z7", [7])], now=50.0) == []
+        assert [n.user_id for n in _match(hve, store, [_batch(setup, "z3", [3])], now=50.0)] == ["alice"]
+        assert _match(hve, store, [_batch(setup, "z5", [5])], now=50.0) == []
+        assert _match(hve, store, [_batch(setup, "z7", [7])], now=50.0) == []
 
 
-class TestBatchMatcher:
+class TestMatchStore:
+    """One pass of several alerts over the store (``MatchingEngine.match_store``)."""
+
     def test_multiple_alerts_single_pass(self, setup):
         _, hve, _ = setup
         store = CiphertextStore()
         store.ingest(_update(setup, "alice", 2), received_at=0.0)
         store.ingest(_update(setup, "bob", 5), received_at=0.0)
         store.ingest(_update(setup, "carol", 7), received_at=0.0)
-        matcher = BatchMatcher(hve, store)
         batches = [_batch(setup, "alert-1", [2, 3]), _batch(setup, "alert-2", [5])]
-        notifications = matcher.process(batches, now=1.0, descriptions={"alert-1": "leak"})
+        notifications = _match(hve, store, batches, now=1.0, descriptions={"alert-1": "leak"})
         outcome = {(n.user_id, n.alert_id) for n in notifications}
         assert outcome == {("alice", "alert-1"), ("bob", "alert-2")}
         descriptions = {n.alert_id: n.description for n in notifications}
@@ -264,23 +243,20 @@ class TestBatchMatcher:
         _, hve, _ = setup
         store = CiphertextStore(max_age_seconds=10.0)
         store.ingest(_update(setup, "alice", 2), received_at=0.0)
-        matcher = BatchMatcher(hve, store)
         batch = _batch(setup, "late-alert", [2])
-        assert matcher.process([batch], now=1_000.0) == []
+        assert _match(hve, store, [batch], now=1_000.0) == []
 
-    def test_pairing_cost_upper_bound(self, setup):
+    def test_pairings_never_exceed_the_full_evaluation_cost(self, setup):
         _, hve, _ = setup
         store = CiphertextStore()
         store.ingest(_update(setup, "alice", 2), received_at=0.0)
         store.ingest(_update(setup, "bob", 5), received_at=0.0)
-        matcher = BatchMatcher(hve, store)
         batch = _batch(setup, "alert", [2, 5])
-        bound = matcher.pairing_cost_upper_bound([batch], now=1.0)
-        assert bound == batch.pairing_cost_per_ciphertext * 2
-        # The actual matching never exceeds the bound.
+        # Worst case: every token fully evaluated against every fresh report.
+        bound = batch.pairing_cost_per_ciphertext * len(store.fresh_reports(now=1.0))
         counter = hve.group.counter
         before = counter.total
-        matcher.process([batch], now=1.0)
+        _match(hve, store, [batch], now=1.0)
         assert counter.total - before <= bound
 
 

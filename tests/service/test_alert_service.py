@@ -18,7 +18,7 @@ from repro.service import (
     ServiceConfig,
     Subscribe,
 )
-from repro.grid.alert_zone import AlertZone
+from repro.grid.alert_zone import AlertZone, circular_alert_zone
 
 
 @pytest.fixture(scope="module")
@@ -318,6 +318,66 @@ class TestSnapshotRestore:
                 service.restore({"kind": "other"})
             service.restore(payload)
             assert service.subscriber_count == 1
+
+
+def one_shot(service, alert_id, zone):
+    """Raise a one-shot alert: evaluated once, never kept standing."""
+    return service.publish_zone(PublishZone(alert_id=alert_id, zone=zone, standing=False))
+
+
+@pytest.fixture(scope="module")
+def one_shot_service(scenario):
+    with make_service(scenario) as service:
+        service.subscribe(Subscribe(user_id="alice", location=scenario.grid.cell_center(7)))
+        service.subscribe(Subscribe(user_id="bob", location=scenario.grid.cell_center(28)))
+        yield service
+
+
+class TestOneShotAlerts:
+    def test_properties(self, one_shot_service, scenario):
+        service = one_shot_service
+        assert service.grid is scenario.grid
+        assert service.subscriber_count == 2
+        assert service.encoding_name() == "huffman"
+        assert service.init_stats.n_cells == 36
+
+    def test_alert_by_zone(self, one_shot_service):
+        report = one_shot(one_shot_service, "zone-alert", AlertZone(cell_ids=(7, 8)))
+        assert report.notified_users == ("alice",)
+        assert report.tokens_evaluated >= 1
+        assert report.pairings_spent > 0
+
+    def test_alert_by_epicenter(self, one_shot_service, scenario):
+        zone = circular_alert_zone(scenario.grid, scenario.grid.cell_center(28), 30.0, label="epicenter")
+        report = one_shot(one_shot_service, "epicenter", zone)
+        assert "bob" in report.notified_users
+
+    def test_notifications_match_ground_truth(self, one_shot_service):
+        zone = AlertZone(cell_ids=(7, 28))
+        report = one_shot(one_shot_service, "both", zone)
+        assert list(report.notified_users) == one_shot_service.users_actually_in_zone(zone)
+
+    def test_location_report_changes_outcome(self, scenario):
+        with make_service(scenario, seed=9) as service:
+            service.subscribe(Subscribe(user_id="carol", location=scenario.grid.cell_center(0)))
+            service.move(Move(user_id="carol", location=scenario.grid.cell_center(35)))
+            report = one_shot(service, "moved", AlertZone(cell_ids=(35,)))
+            assert report.notified_users == ("carol",)
+
+    def test_pairing_counter_accumulates(self, one_shot_service):
+        before = one_shot_service.pairing_count
+        one_shot(one_shot_service, "counter", AlertZone(cell_ids=(1,)))
+        assert one_shot_service.pairing_count > before
+
+
+class TestOneShotAlertsPerScheme:
+    @pytest.mark.parametrize("scheme", ["fixed", "sgo", "balanced", "bary"])
+    def test_end_to_end_per_scheme(self, scenario, scheme):
+        with make_service(scenario, scheme=scheme, alphabet_size=3, seed=13) as service:
+            service.subscribe(Subscribe(user_id="user-in", location=scenario.grid.cell_center(14)))
+            service.subscribe(Subscribe(user_id="user-out", location=scenario.grid.cell_center(30)))
+            report = one_shot(service, f"{scheme}-alert", AlertZone(cell_ids=(14, 15)))
+            assert report.notified_users == ("user-in",)
 
 
 class TestLegacyAdoption:

@@ -1,10 +1,10 @@
-"""Tests for the unified ServiceConfig surface and its builder."""
+"""Tests for the one ServiceConfig surface: keyword construction and replace()."""
+
+import dataclasses
 
 import pytest
 
-from repro.core.pipeline import PipelineConfig
 from repro.protocol.matching import MATCHING_STRATEGIES, TOKEN_ORDERS
-from repro.protocol.simulation import SimulationConfig
 from repro.service import ServiceConfig
 
 
@@ -101,45 +101,13 @@ class TestDerivedViews:
         assert options.subsume is False
         assert options.incremental is True
 
-    def test_from_pipeline_carries_every_shared_knob(self):
-        pipeline_config = PipelineConfig(
-            scheme="fixed",
-            alphabet_size=4,
-            prime_bits=40,
-            seed=9,
-            matching_strategy="naive",
-            crypto_backend="reference",
-        )
-        config = ServiceConfig.from_pipeline(pipeline_config)
-        assert config.scheme == "fixed"
-        assert config.alphabet_size == 4
-        assert config.prime_bits == 40
-        assert config.seed == 9
-        assert config.matching_strategy == "naive"
-        assert config.crypto_backend == "reference"
-        assert config.incremental is False
 
-    def test_from_simulation_carries_every_shared_knob(self):
-        simulation_config = SimulationConfig(
-            prime_bits=40, seed=5, matching_strategy="naive", crypto_backend="reference"
-        )
-        config = ServiceConfig.from_simulation(simulation_config)
-        assert config.prime_bits == 40
-        assert config.seed == 5
-        assert config.matching_strategy == "naive"
-        assert config.crypto_backend == "reference"
+class TestReplace:
+    """``dataclasses.replace`` is the one way to derive a variant config."""
 
-
-class TestBuilder:
-    def test_fluent_construction(self):
-        config = (
-            ServiceConfig.builder()
-            .with_scheme("bary", alphabet_size=4)
-            .with_crypto(prime_bits=48, seed=3)
-            .with_matching(strategy="planned", incremental=True)
-            .with_store(max_age_seconds=60.0)
-            .build()
-        )
+    def test_replace_derives_a_variant(self):
+        base = ServiceConfig(scheme="bary", alphabet_size=4)
+        config = dataclasses.replace(base, prime_bits=48, incremental=True, max_age_seconds=60.0)
         assert config.scheme == "huffman-bary"
         assert config.alphabet_size == 4
         assert config.prime_bits == 48
@@ -147,10 +115,8 @@ class TestBuilder:
         assert config.max_age_seconds == 60.0
 
     def test_untouched_fields_keep_defaults(self):
-        config = ServiceConfig.builder().with_crypto(prime_bits=32).build()
-        assert config == ServiceConfig(prime_bits=32)
+        assert dataclasses.replace(ServiceConfig(), prime_bits=32) == ServiceConfig(prime_bits=32)
 
-    def test_builder_validates_at_build(self):
-        builder = ServiceConfig.builder().with_matching(order="fastest")
+    def test_replace_revalidates(self):
         with pytest.raises(ValueError, match="token order"):
-            builder.build()
+            dataclasses.replace(ServiceConfig(), token_order="fastest")

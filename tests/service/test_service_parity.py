@@ -1,20 +1,20 @@
-"""API parity: the legacy front doors vs. the AlertService session.
+"""API parity: a bare ``SecureAlertSystem`` vs. the ``AlertService`` session.
 
-The acceptance property of the service redesign: driving the same operation
-sequence through (a) a bare pre-service ``SecureAlertSystem``, (b) the
-``SecureAlertPipeline`` adapter and (c) an ``AlertService`` session produces
-*identical notifications* and *bit-exact PairingCounter totals*, under both
-matching strategies, including after ``snapshot()``/``restore()``.
+Driving the same operation sequence through (a) a bare ``SecureAlertSystem``
+and (b) an ``AlertService`` session produces *identical notifications* and
+*bit-exact PairingCounter totals*, under both matching strategies (the
+``naive`` one is the element-wise reference path), including after
+``snapshot()``/``restore()``.
 """
 
 import random
 
 import pytest
 
-from repro.core.pipeline import PipelineConfig, SecureAlertPipeline
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.encoding import scheme_by_name
-from repro.grid.alert_zone import AlertZone
+from repro.grid.alert_zone import AlertZone, circular_alert_zone
+from repro.grid.geometry import Point
 from repro.protocol.alert_system import SecureAlertSystem
 from repro.protocol.matching import MatchingOptions
 from repro.service import AlertService, Move, PublishZone, ServiceConfig, Subscribe
@@ -41,8 +41,8 @@ def _script(grid):
     return users, moves, zones
 
 
-def _run_legacy(scenario, strategy):
-    """The pre-service path: a bare system driven through its provider."""
+def _run_system(scenario, strategy):
+    """The direct path: a bare system driven through its provider."""
     users, moves, zones = _script(scenario.grid)
     system = SecureAlertSystem(
         scenario.grid,
@@ -67,24 +67,6 @@ def _run_legacy(scenario, strategy):
         fresh_id = f"{alert_id}-again" if alert_id == "alert-a" else alert_id
         notified.append((fresh_id, tuple(sorted(n.user_id for n in system.declare_alert(zone, fresh_id)))))
     return notified, system.pairing_count - base
-
-
-def _run_pipeline(scenario, strategy):
-    users, moves, zones = _script(scenario.grid)
-    config = PipelineConfig(prime_bits=PRIME_BITS, seed=SEED, matching_strategy=strategy)
-    with SecureAlertPipeline.from_probabilities(scenario.grid, scenario.probabilities, config) as pipeline:
-        base = pipeline.pairing_count
-        notified = []
-        for user_id, location in users:
-            pipeline.subscribe(user_id, location)
-        for alert_id, zone in zones[:2]:
-            notified.append((alert_id, pipeline.raise_alert(zone, alert_id).notified_users))
-        for user_id, location in moves:
-            pipeline.report_location(user_id, location)
-        for alert_id, zone in zones[2:] + zones[:1]:
-            fresh_id = f"{alert_id}-again" if alert_id == "alert-a" else alert_id
-            notified.append((fresh_id, pipeline.raise_alert(zone, fresh_id).notified_users))
-        return notified, pipeline.pairing_count - base
 
 
 def _run_service(scenario, strategy, snapshot_midway=False):
@@ -132,12 +114,10 @@ def _run_service(scenario, strategy, snapshot_midway=False):
 
 class TestParity:
     @pytest.mark.parametrize("strategy", ["planned", "naive"])
-    def test_legacy_pipeline_and_service_agree(self, scenario, strategy):
-        legacy = _run_legacy(scenario, strategy)
-        pipeline = _run_pipeline(scenario, strategy)
+    def test_system_and_service_agree(self, scenario, strategy):
+        system = _run_system(scenario, strategy)
         service = _run_service(scenario, strategy)
-        assert pipeline == legacy
-        assert service == legacy  # notifications AND bit-exact pairing totals
+        assert service == system  # notifications AND bit-exact pairing totals
 
     def test_planned_and_naive_notify_the_same_users(self, scenario):
         assert _run_service(scenario, "planned")[0] == _run_service(scenario, "naive")[0]
@@ -148,20 +128,17 @@ class TestParity:
         restarted = _run_service(scenario, strategy, snapshot_midway=True)
         assert restarted == uninterrupted
 
-    def test_quickstart_pipeline_code_runs_unchanged(self):
-        """The documented pipeline quickstart, verbatim from the README."""
-        from repro import PipelineConfig, Point, SecureAlertPipeline
-
+    def test_one_shot_circular_alert_matches_ground_truth(self):
+        """The quickstart's gas-leak alert, raised as a one-shot circular zone."""
         scenario = make_synthetic_scenario(
             rows=16, cols=16, sigmoid_a=0.95, sigmoid_b=50, seed=7, extent_meters=1600.0
         )
-        config = PipelineConfig(scheme="huffman", prime_bits=64, seed=11)
-        pipeline = SecureAlertPipeline.from_probabilities(scenario.grid, scenario.probabilities, config)
-        pipeline.subscribe("alice", Point(220.0, 180.0))
-        pipeline.subscribe("bob", Point(240.0, 210.0))
-        pipeline.subscribe("carol", Point(1400.0, 1500.0))
-        report = pipeline.raise_alert_at(
-            epicenter=Point(230.0, 200.0), radius=120.0, alert_id="gas-leak-42"
-        )
-        assert report.notified_users == ("alice", "bob")
-        assert list(report.notified_users) == pipeline.users_actually_in_zone(report.zone)
+        config = ServiceConfig(scheme="huffman", prime_bits=64, seed=11)
+        with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
+            service.subscribe(Subscribe(user_id="alice", location=Point(220.0, 180.0)))
+            service.subscribe(Subscribe(user_id="bob", location=Point(240.0, 210.0)))
+            service.subscribe(Subscribe(user_id="carol", location=Point(1400.0, 1500.0)))
+            zone = circular_alert_zone(scenario.grid, Point(230.0, 200.0), 120.0, label="gas-leak-42")
+            report = service.publish_zone(PublishZone(alert_id="gas-leak-42", zone=zone, standing=False))
+            assert report.notified_users == ("alice", "bob")
+            assert list(report.notified_users) == service.users_actually_in_zone(zone)
