@@ -7,8 +7,10 @@ The file carries one section per feeding benchmark:
 
 ``crypto_core``
     Warm fused packed-worklist matching latency at the 1k-user tier after 1%
-    of the users moved (``mover_ms``, the standing-tick case: the static
-    ``fused_ms`` pass is answered from the worklist's memo), written by
+    of the users moved (``mover_ms``, the standing-tick case: only the movers
+    are evaluated, everyone else is answered from the engine's remembered
+    outcomes; the static ``fused_ms`` pass drops them and evaluates every
+    user), written by
     ``benchmarks/test_matching_engine.py::test_crypto_core_fused_tier``.
 ``net_tier``
     Open-loop p99 latency pooled over the sweep's clean uncongested points

@@ -271,7 +271,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             crypto_backend=args.backend,
             matching_strategy=args.matching_strategy,
-            incremental=args.incremental,
         )
     )
     with AlertServiceSimulation(
@@ -782,11 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(backend_names()),
         default=None,
         help="crypto arithmetic backend (default: auto-select, gmpy2 when installed else reference)",
-    )
-    simulate.add_argument(
-        "--incremental",
-        action="store_true",
-        help="remember per-(user, alert) outcomes and re-evaluate only changed ciphertexts",
     )
     simulate.set_defaults(handler=_cmd_simulate)
 

@@ -352,17 +352,15 @@ class FusedWorklist:
 
     Residency: :meth:`evaluate` takes per-job ``keys`` (any hashable identity
     for a job's ciphertext, e.g. ``(user_id, sequence_number)``), so a warm
-    pass costs time in proportion to the keys that changed:
+    pass costs time in proportion to the keys that changed plus the jobs that
+    need evaluation (the matching engine sends an empty ``needed`` for a user
+    whose outcomes it remembers):
 
     * Each slot's residue vector (one pre-filter outcome per job) is cached
       and survives refreshes.  A changed key's residues against *every* slot
       come from one slot-major packed combination -- the token coefficients
       packed one limb per slot, same limb width and carry-free argument as
       the user-major columns -- and overwrite only that job's entry.
-    * Each job's outcome row and pairing charge are memoised under
-      ``(key, needed)``.  Unchanged jobs skip the bookkeeping pass but are
-      charged exactly the pairings they were charged before, so
-      ``record_pairings`` burns and counter totals do not change.
     * The user-major columns are repacked from the reduced rows only when a
       slot without a cached vector needs them -- rare, since a vector once
       combined is patched from then on.  A repack (9.6 ms at 200 users,
@@ -370,7 +368,7 @@ class FusedWorklist:
       (0.5 / 5.1 ms per changed key) would pile up across passes.
 
     Churn above ``1/_PATCH_CHURN`` of the keys, or a change in population
-    size, rebuilds columns, vectors and memo from scratch.
+    size, rebuilds columns and vectors from scratch.
     """
 
     def __init__(self, program: FusedProgram):
@@ -422,8 +420,6 @@ class FusedWorklist:
         # patches changed jobs' entries in place, so vectors live until a
         # rebuild; a cache miss is the only full-population combination.
         self._vectors: dict[int, list[bool]] = {}
-        # (key, needed) -> (outcome row, pairing charge) of the last pass.
-        self._memo: dict[tuple, tuple[tuple[bool, ...], int]] = {}
         # Slot-major token columns, built on the first patch (see _slot_sums).
         self._token_columns: Optional[list[int]] = None
         #: Passes served from already-packed columns (no full rebuild); the
@@ -467,7 +463,6 @@ class FusedWorklist:
         self._keys = keys
         self._columns_stale = False
         self._vectors.clear()
-        self._memo = {}
 
     def _refresh(self, jobs: Sequence[tuple], keys: list) -> None:
         """Bring the packed state up to ``keys``: reuse, patch or rebuild."""
@@ -565,8 +560,7 @@ class FusedWorklist:
         """Drop-in for :meth:`GroupBackend.fused_eval`, same jobs and returns.
 
         ``keys`` carries one hashable identity per job (aligned with
-        ``jobs``): it decides reuse vs. patch vs. rebuild, and keys the
-        memoised outcome rows.
+        ``jobs``): it decides reuse vs. patch vs. rebuild of the packed state.
         """
         if keys is None:
             raise ValueError("a packed worklist needs per-job keys")
@@ -574,28 +568,18 @@ class FusedWorklist:
         if len(keys) != len(jobs):
             raise ValueError("evaluate needs one key per job")
         self._refresh(jobs, keys)
-        memo = self._memo
-        next_memo: dict[tuple, tuple[tuple[bool, ...], int]] = {}
         pairings = 0
         rows: list[list[bool]] = []
         for j, job in enumerate(jobs):
-            needed = tuple(job[4])
-            if not needed:
+            if not job[4]:
                 rows.append([])
                 continue
-            memo_key = (keys[j], needed)
-            done = memo.get(memo_key)
-            if done is None:
-                done = self._outcome_row(j, job, needed)
-            next_memo[memo_key] = done
-            pairings += done[1]
-            rows.append(list(done[0]))
-        self._memo = next_memo
+            row, charge = self._outcome_row(j, job, job[4])
+            pairings += charge
+            rows.append(row)
         return rows, pairings
 
-    def _outcome_row(
-        self, j: int, job: tuple, needed: tuple
-    ) -> tuple[tuple[bool, ...], int]:
+    def _outcome_row(self, j: int, job: tuple, needed: Sequence[int]) -> tuple[list[bool], int]:
         """Job ``j``'s outcome row and pairing charge: the scalar control flow
         over the slots' pre-filter outcomes."""
         batches = self._program.batches
@@ -629,7 +613,7 @@ class FusedWorklist:
                     matched = True
                     break
             row.append(matched)
-        return tuple(row), charge
+        return row, charge
 
 
 def _ancestor_failed(

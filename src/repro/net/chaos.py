@@ -90,7 +90,6 @@ def _make_config(faults: Optional[str] = None, fault_seed: int = 0) -> ServiceCo
     return ServiceConfig(
         prime_bits=_PRIME_BITS,
         seed=_SERVICE_SEED,
-        incremental=False,
         faults=faults,
         fault_seed=fault_seed,
     )

@@ -15,7 +15,7 @@ variable-length workflow of Fig. 3:
 * :mod:`repro.protocol.matching` -- the :class:`MatchingEngine` the service
   provider evaluates tokens through: planned batched evaluation with
   deduplication, cheapest-first ordering, a fused exponent-arithmetic fast
-  path and incremental re-evaluation.
+  path and sequence-keyed outcome reuse.
 * :mod:`repro.protocol.store` -- the provider's persistent ciphertext store
   with freshness management.
 * :mod:`repro.protocol.simulation` -- a population-scale simulation driving an

@@ -65,8 +65,7 @@ class SecureAlertSystem:
     matching:
         Options for the service provider's
         :class:`~repro.protocol.matching.MatchingEngine` (strategy, token
-        order, dedupe/subsume, incremental mode).  Defaults to the planned
-        strategy.
+        order, dedupe/subsume).  Defaults to the planned strategy.
     backend:
         Crypto arithmetic backend name shared by all parties (``None``
         auto-selects; see :mod:`repro.crypto.backends`).
@@ -155,6 +154,12 @@ class SecureAlertSystem:
         user = MobileUser(user_id=user_id, location=location, _sequence=sequence_number)
         self.users[user_id] = user
         return user
+
+    def forget_user(self, user_id: str) -> None:
+        """Drop a user and its stored ciphertext (no-op if unknown); the
+        pseudonym can then register again."""
+        self.users.pop(user_id, None)
+        self.provider.forget_user(user_id)
 
     def _upload(self, user: MobileUser) -> LocationUpdate:
         update = user.report_location(

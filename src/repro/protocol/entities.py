@@ -167,8 +167,10 @@ class ServiceProvider:
 
     All matching is delegated to a :class:`~repro.protocol.matching.MatchingEngine`
     (the planned strategy by default); pass ``matching=MatchingOptions(...)``
-    to select the naive parity path, a token order or incremental
-    re-evaluation, or inject a pre-built ``engine``.
+    to select the naive parity path or a token order, or inject a pre-built
+    ``engine``.  Every alert this provider processes is one-shot: its
+    remembered outcomes are dropped after the pass, so repeating an alert
+    pays its pairings again and the engine keeps no state for it.
     """
 
     def __init__(
@@ -192,6 +194,10 @@ class ServiceProvider:
         existing = self._latest_updates.get(update.user_id)
         if existing is None or update.sequence_number >= existing.sequence_number:
             self._latest_updates[update.user_id] = update
+
+    def forget_user(self, user_id: str) -> None:
+        """Drop a user's stored ciphertext (no-op if absent)."""
+        self._latest_updates.pop(user_id, None)
 
     @property
     def subscriber_count(self) -> int:
@@ -248,6 +254,8 @@ class ServiceProvider:
             for user_id in self.subscribers()
         ]
         notifications = self.engine.match(batches, candidates, descriptions=descriptions)
+        for batch in batches:
+            self.engine.forget_alert(batch.alert_id)
         self._notifications.extend(notifications)
         return notifications
 

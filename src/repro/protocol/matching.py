@@ -28,14 +28,17 @@ paid once per *alert batch*, not once per (user, token):
   (:meth:`~repro.crypto.hve.HVE.matches_via_plan`).  Both record identical
   :class:`~repro.crypto.counting.PairingCounter` totals for the same token
   order -- the paper's metric is preserved bit-exactly.
-* **Incremental mode** -- for standing alerts that are re-evaluated
-  periodically, the engine remembers each user's (sequence number, outcome)
-  per alert and re-matches only users whose sequence number changed; an
-  unchanged ciphertext can never change its match outcome, so notifications
-  are identical to a full re-evaluation at a fraction of the pairings.  The
-  remembered state round-trips through :meth:`MatchingEngine.export_state` /
+* **Outcome reuse** -- the engine remembers each user's (sequence number,
+  outcome) per alert and evaluates only the (user, alert) entries whose
+  sequence number changed: an unchanged ciphertext can never change its
+  match outcome, so notifications are identical to a full re-evaluation, and
+  a reused outcome is charged zero pairings.  The remembered state
+  round-trips through :meth:`MatchingEngine.export_state` /
   :meth:`MatchingEngine.import_state`, which is how standing alerts survive
   provider restarts (see :meth:`repro.protocol.store.CiphertextStore.save`).
+  Callers drop the state of one-shot alerts (:meth:`MatchingEngine.forget_alert`)
+  and of expired users (:meth:`MatchingEngine.forget_users`) so it stays
+  bounded by the standing alerts times the live population.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ MATCHING_STRATEGIES = ("naive", "planned")
 
 #: Recognised values of :attr:`MatchingOptions.order`.
 TOKEN_ORDERS = ("declared", "cheapest")
+
+#: Stand-in for a user without a remembered outcome: no sequence number equals it.
+_UNSEEN = (None, False)
+
 
 def pattern_subsumes(general: str, specific: str) -> bool:
     """True if every index accepted by ``specific`` is accepted by ``general``.
@@ -104,9 +111,9 @@ class PassStats:
 class MatchCandidate:
     """One stored ciphertext to be matched, plus the metadata the engine needs.
 
-    ``sequence_number`` identifies the report revision; incremental matching
-    uses it to detect users whose ciphertext is unchanged since the previous
-    evaluation of a standing alert.
+    ``sequence_number`` identifies the report revision; the engine uses it to
+    detect users whose ciphertext is unchanged since the previous evaluation
+    of an alert.  A pass holds at most one candidate per user.
     """
 
     user_id: str
@@ -138,9 +145,6 @@ class MatchingOptions:
         every specialisation of it, and a specialised match answers its
         generalisations.  Only effective when ``dedupe`` is on; never changes
         notifications, only saves pairings.
-    incremental:
-        Remember per-alert outcomes keyed by (user, sequence number) and skip
-        users whose sequence number is unchanged on re-evaluation.
     fused:
         Hand whole evaluation worklists to the crypto backend as one
         :class:`~repro.crypto.backends.base.FusedProgram` call instead of
@@ -154,9 +158,9 @@ class MatchingOptions:
         packed-column evaluator
         (:class:`~repro.crypto.backends.base.FusedWorklist`): ciphertext
         exponents packed into big-integer columns, evaluated per token in a
-        handful of huge multiplications, refreshed incrementally as users
-        move.  Below the threshold the plain fused call runs -- packing has
-        a per-worklist build cost that only amortises over enough users.
+        handful of huge multiplications, patched in place as users move.
+        Below the threshold the plain fused call runs -- packing has a
+        per-worklist build cost that only amortises over enough users.
         Bit-exact either way; parity tests force ``1`` to exercise the
         packed path on tiny worklists.
     """
@@ -165,7 +169,6 @@ class MatchingOptions:
     order: str = "cheapest"
     dedupe: bool = True
     subsume: bool = True
-    incremental: bool = False
     fused: bool = True
     fused_pack_min_jobs: int = 64
 
@@ -509,8 +512,8 @@ class _CachedEvaluation:
     fused_program: Optional[FusedProgram] = None
     #: Lazily-built resident packed worklist for the fused path
     #: (:class:`~repro.crypto.backends.base.FusedWorklist`); lives with the
-    #: plan so its packed columns survive across passes and refresh
-    #: incrementally as the candidate population drifts.
+    #: plan so its packed columns survive across passes and are patched in
+    #: place as the candidate population drifts.
     fused_worklist: Optional[Any] = field(default=None, repr=False)
 
     def matches(self, batches: Sequence[TokenBatch]) -> bool:
@@ -534,8 +537,8 @@ class MatchingEngine:
         only ever calls query/match operations -- it never sees key material).
     options:
         Strategy and evaluation tunables; defaults to the planned strategy,
-        cheapest-first order, deduplication and subsumption on, fused
-        evaluation and no incremental state.
+        cheapest-first order, deduplication and subsumption on and fused
+        evaluation.
     """
 
     def __init__(self, hve: HVE, options: Optional[MatchingOptions] = None):
@@ -584,6 +587,12 @@ class MatchingEngine:
         short-circuits on its first matching token; a user can be notified
         for several distinct alerts but only once per alert.  Notifications
         come back in (candidate, alert) order.
+
+        Only the (candidate, alert) entries without a remembered outcome for
+        the candidate's sequence number are evaluated and charged pairings;
+        the rest are answered from the engine's state.  Every pass looks up
+        (or builds) the plan, so plan reuse counts the same whether or not
+        anything was stale.
         """
         batches = list(batches)
         candidates = list(candidates)
@@ -593,24 +602,28 @@ class MatchingEngine:
         if not batches or not candidates:
             stats.zones_evaluated = 0
             return []
-        outcomes = self._evaluate_all(batches, candidates)
+        evaluation = self._evaluation_for(batches)
+        outcome_maps = self._outcome_maps(batches)
+        keys = [(candidate.user_id, candidate.sequence_number) for candidate in candidates]
+        stale: dict[int, list[int]] = {}
+        for index, outcomes in enumerate(outcome_maps):
+            get = outcomes.get
+            for j, (user_id, sequence_number) in enumerate(keys):
+                if get(user_id, _UNSEEN)[0] != sequence_number:
+                    stale.setdefault(j, []).append(index)
+        if stale:
+            self._evaluate_stale(evaluation, candidates, keys, stale, outcome_maps)
         descriptions = descriptions or {}
-        if self.options.incremental:
-            outcome_maps = [self._alert_state[batch.alert_id][1] for batch in batches]
-        notifications: list[Notification] = []
-        for candidate, per_batch in zip(candidates, outcomes):
-            for index, (batch, matched) in enumerate(zip(batches, per_batch)):
-                if self.options.incremental:
-                    outcome_maps[index][candidate.user_id] = (candidate.sequence_number, matched)
-                if matched:
-                    notifications.append(
-                        Notification(
-                            user_id=candidate.user_id,
-                            alert_id=batch.alert_id,
-                            description=descriptions.get(batch.alert_id, ""),
-                        )
-                    )
-        return notifications
+        alerts = [
+            (batch.alert_id, descriptions.get(batch.alert_id, ""), outcomes)
+            for batch, outcomes in zip(batches, outcome_maps)
+        ]
+        return [
+            Notification(user_id=user_id, alert_id=alert_id, description=description)
+            for user_id, _ in keys
+            for alert_id, description, outcomes in alerts
+            if outcomes[user_id][1]
+        ]
 
     def match_store(
         self,
@@ -623,22 +636,33 @@ class MatchingEngine:
         return self.match(batches, store.fresh_candidates(now), descriptions=descriptions)
 
     # ------------------------------------------------------------------
-    # Incremental state
+    # Remembered outcomes
     # ------------------------------------------------------------------
     def standing_alerts(self) -> list[str]:
-        """Alert ids with remembered incremental outcomes."""
+        """Alert ids with remembered outcomes."""
         return sorted(self._alert_state)
 
     def forget_alert(self, alert_id: str) -> None:
-        """Drop the incremental state of one standing alert (no-op if absent)."""
+        """Drop the remembered outcomes of one alert (no-op if absent)."""
         self._alert_state.pop(alert_id, None)
 
+    def forget_users(self, user_ids: Iterable[str]) -> None:
+        """Drop every remembered outcome of ``user_ids`` (e.g. expired reports).
+
+        A pseudonym that later reports again, even from sequence number 0,
+        is then evaluated afresh instead of answered from its old ciphertext.
+        """
+        user_ids = list(user_ids)
+        for _, outcomes in self._alert_state.values():
+            for user_id in user_ids:
+                outcomes.pop(user_id, None)
+
     def reset_state(self) -> None:
-        """Drop all incremental state."""
+        """Drop all remembered outcomes."""
         self._alert_state.clear()
 
     def export_state(self) -> dict[str, Any]:
-        """JSON-compatible snapshot of the incremental re-evaluation state.
+        """JSON-compatible snapshot of the remembered outcomes.
 
         Captures, per standing alert, the token-pattern signature and every
         remembered (user, sequence number, outcome) triple.  Persist it next
@@ -717,91 +741,70 @@ class MatchingEngine:
         del self._cache_entries[self._PLAN_CACHE_SIZE :]
         return cached
 
-    def _resolve_incremental(
-        self, batches: Sequence[TokenBatch], candidates: Sequence[MatchCandidate]
-    ) -> tuple[list[list[Optional[bool]]], list[tuple[int, ...]]]:
-        """Split outcomes into remembered rows and still-needed batch indices.
+    def _outcome_maps(self, batches: Sequence[TokenBatch]) -> list[dict[str, tuple[int, bool]]]:
+        """Per batch, the alert's remembered ``user_id -> (sequence, matched)``.
 
-        Returns per-candidate rows prefilled with cached outcomes (``None``
-        where evaluation is required) plus, per candidate, the tuple of batch
-        indices to evaluate.  With incremental mode off every index is
-        needed.
+        A new alert starts empty; an alert re-declared with a different token
+        set drops the outcomes computed for its old zone.
         """
-        if self.options.incremental:
-            cached_by_batch = []
-            for batch in batches:
-                signature = tuple(token.pattern for token in batch.tokens)
-                state = self._alert_state.get(batch.alert_id)
-                if state is None or state[0] != signature:
-                    # New standing alert, or the alert was re-declared with a
-                    # different token set: previous outcomes are invalid.
-                    state = (signature, {})
-                    self._alert_state[batch.alert_id] = state
-                cached_by_batch.append(state[1])
-        else:
-            cached_by_batch = None
+        maps = []
+        for batch in batches:
+            signature = tuple(token.pattern for token in batch.tokens)
+            state = self._alert_state.get(batch.alert_id)
+            if state is None or state[0] != signature:
+                state = self._alert_state[batch.alert_id] = (signature, {})
+            maps.append(state[1])
+        return maps
 
-        rows: list[list[Optional[bool]]] = []
-        needed: list[tuple[int, ...]] = []
-        for candidate in candidates:
-            row: list[Optional[bool]] = [None] * len(batches)
-            need: list[int] = []
-            for index in range(len(batches)):
-                if cached_by_batch is not None:
-                    previous = cached_by_batch[index].get(candidate.user_id)
-                    if previous is not None and previous[0] == candidate.sequence_number:
-                        row[index] = previous[1]
-                        continue
-                need.append(index)
-            rows.append(row)
-            needed.append(tuple(need))
-        return rows, needed
+    def _evaluate_stale(
+        self,
+        evaluation: _CachedEvaluation,
+        candidates: Sequence[MatchCandidate],
+        keys: Sequence[tuple[str, int]],
+        stale: Mapping[int, Sequence[int]],
+        outcome_maps: Sequence[dict[str, tuple[int, bool]]],
+    ) -> None:
+        """Evaluate candidate ``j`` against the batch indices ``stale[j]`` and
+        remember the outcomes under the candidate's sequence number.
 
-    def _evaluate_all(
-        self, batches: Sequence[TokenBatch], candidates: Sequence[MatchCandidate]
-    ) -> list[list[bool]]:
-        """Per-candidate, per-batch outcomes, honoring incremental state.
-
-        With a fused program the *entire* outstanding worklist is one backend
-        call: per candidate the cached exponent rows plus the needed batch
-        indices, no per-token Python dispatch at all.  From
+        With a fused program the whole outstanding worklist is one backend
+        call, no per-token Python dispatch at all.  From
         ``fused_pack_min_jobs`` candidates up, the call runs through the
-        plan's resident :class:`~repro.crypto.backends.base.FusedWorklist`,
-        keyed by ``(user_id, sequence_number)`` so repeat passes reuse the
-        packed columns and movers are patched in place.
+        plan's resident :class:`~repro.crypto.backends.base.FusedWorklist`
+        over the whole population (candidates with nothing stale need
+        nothing), keyed by ``(user_id, sequence_number)`` so repeat passes
+        reuse the packed columns and movers are patched in place.
         """
-        rows, needed = self._resolve_incremental(batches, candidates)
-        if not any(needed):
-            # The incremental cache answered everything: skip plan building.
-            return rows  # type: ignore[return-value]
-        evaluation = self._evaluation_for(batches)
         group = self.hve.group
         hits_before = group.precomp_hits
         program = evaluation.fused_program
+        order = list(stale)
         if program is not None:
-            jobs = [
-                candidate.ciphertext._exponent_rows + (need,)
-                for candidate, need in zip(candidates, needed)
-            ]
-            worklist = keys = None
-            if len(jobs) >= self.options.fused_pack_min_jobs:
+            if len(candidates) >= self.options.fused_pack_min_jobs:
                 worklist = evaluation.fused_worklist
                 if worklist is None:
                     worklist = evaluation.fused_worklist = group.backend.make_fused_worklist(program)
-                keys = [
-                    (candidate.user_id, candidate.sequence_number)
-                    for candidate in candidates
+                jobs = [
+                    candidate.ciphertext._exponent_rows + (tuple(stale.get(j, ())),)
+                    for j, candidate in enumerate(candidates)
                 ]
-            evaluated, _ = group.fused_eval(program, jobs, worklist=worklist, keys=keys)
+                rows, _ = group.fused_eval(program, jobs, worklist=worklist, keys=keys)
+                evaluated = [rows[j] for j in order]
+            else:
+                jobs = [
+                    candidates[j].ciphertext._exponent_rows + (tuple(stale[j]),) for j in order
+                ]
+                evaluated, _ = group.fused_eval(program, jobs)
             self.last_pass.fused_evals += 1
         else:
             evaluate = evaluation.evaluator
             evaluated = []
-            for candidate, need in zip(candidates, needed):
+            for j in order:
                 shared: dict[int, bool] = {}
-                evaluated.append([evaluate(candidate.ciphertext, index, shared) for index in need])
+                ciphertext = candidates[j].ciphertext
+                evaluated.append([evaluate(ciphertext, index, shared) for index in stale[j]])
         self.last_pass.precomp_hits += group.precomp_hits - hits_before
-        for row, need, results in zip(rows, needed, evaluated):
-            for index, outcome in zip(need, results):
-                row[index] = outcome
-        return rows  # type: ignore[return-value]  # every None has been filled
+        for j, row in zip(order, evaluated):
+            user_id, sequence_number = keys[j]
+            for index, outcome in zip(stale[j], row):
+                outcome_maps[index][user_id] = (sequence_number, outcome)

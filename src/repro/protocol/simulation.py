@@ -18,6 +18,7 @@ numbers are end-to-end measurements, not estimates.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -120,8 +121,10 @@ class AlertServiceSimulation:
 
     Every simulated alert is a one-shot ``PublishZone`` request.  ``config``
     sets the workload; ``service_config`` sets everything the session itself
-    needs (scheme, primes, backend, matching strategy).  ``system`` exposes the
-    underlying :class:`~repro.protocol.alert_system.SecureAlertSystem`.
+    needs (scheme, primes, backend, matching strategy); its ``seed`` seeds the
+    key material, which falls back to ``config.seed + 1`` when it is ``None``.
+    ``system`` exposes the underlying
+    :class:`~repro.protocol.alert_system.SecureAlertSystem`.
     """
 
     def __init__(
@@ -134,13 +137,10 @@ class AlertServiceSimulation:
     ):
         self.config = config or SimulationConfig()
         self.rng = random.Random(self.config.seed)
-        self.service = AlertService(
-            grid,
-            probabilities,
-            config=service_config or ServiceConfig(),
-            scheme=scheme,
-            rng=random.Random(self.config.seed + 1),
-        )
+        service_config = service_config or ServiceConfig()
+        if service_config.seed is None:
+            service_config = dataclasses.replace(service_config, seed=self.config.seed + 1)
+        self.service = AlertService(grid, probabilities, config=service_config, scheme=scheme)
         self.system = self.service.system
         self.grid = grid
         self.probabilities = list(probabilities)

@@ -12,7 +12,7 @@ one ciphertext per user; a production deployment additionally needs
 Matching a batch of alerts against the store in one pass is
 :meth:`MatchingEngine.match_store <repro.protocol.matching.MatchingEngine.match_store>`;
 :meth:`CiphertextStore.save` / :meth:`CiphertextStore.load` take the same
-engine to persist and restore its incremental state with the ciphertexts.  The
+engine to persist and restore its remembered outcomes with the ciphertexts.  The
 persistence format stores only what the provider legitimately holds anyway:
 pseudonyms, ciphertext components and timestamps -- never plaintext locations.
 """
@@ -119,7 +119,7 @@ class CiphertextStore:
         """The fresh reports as match candidates, sorted by user id.
 
         The single construction site of the store-to-candidate mapping
-        (including the sequence-number plumbing incremental matching relies
+        (including the sequence numbers the engine's outcome reuse relies
         on), shared by :meth:`MatchingEngine.match_store` and the session
         service.
         """
@@ -138,12 +138,12 @@ class CiphertextStore:
             return []
         return sorted(r.user_id for r in self._reports.values() if r.age(now) > self.max_age_seconds)
 
-    def purge_stale(self, now: float) -> int:
-        """Drop expired reports; returns how many were removed."""
+    def purge_stale(self, now: float) -> list[str]:
+        """Drop expired reports; returns the purged user ids, sorted."""
         stale = self.stale_users(now)
         for user_id in stale:
             del self._reports[user_id]
-        return len(stale)
+        return stale
 
     # ------------------------------------------------------------------
     # Persistence
@@ -151,7 +151,7 @@ class CiphertextStore:
     def to_payload(self, engine: Optional[MatchingEngine] = None) -> dict:
         """JSON-compatible snapshot of the store (ciphertexts in wire format).
 
-        When ``engine`` is given, its incremental re-evaluation state
+        When ``engine`` is given, its remembered outcomes
         (standing alerts, token signatures, last-seen sequence numbers and
         outcomes -- see :meth:`MatchingEngine.export_state`) is embedded in
         the same payload.  :meth:`save` writes this payload to a file;
@@ -184,7 +184,7 @@ class CiphertextStore:
         """Rebuild a store from :meth:`to_payload` output.
 
         When ``engine`` is given and the payload carries a matching-state
-        snapshot, the engine's incremental state is restored from it.  The
+        snapshot, the engine's remembered outcomes are restored from it.  The
         raw snapshot (or ``None``) is also kept on the returned store as
         ``matching_state`` so a caller can defer engine construction.
         """
@@ -205,8 +205,8 @@ class CiphertextStore:
     def save(self, path: str | pathlib.Path, engine: Optional[MatchingEngine] = None) -> None:
         """Persist the store as JSON (see :meth:`to_payload`).
 
-        When ``engine`` is given, its incremental re-evaluation state is
-        embedded in the same file, so a provider restart restores both the
+        When ``engine`` is given, its remembered outcomes are embedded in the
+        same file, so a provider restart restores both the
         ciphertexts and the standing-alert caches in one step.
 
         The write is atomic (tmp file + fsync + rename): a crash mid-save

@@ -1,10 +1,10 @@
 """The one configuration surface of the session-oriented service.
 
 :class:`ServiceConfig` is a frozen dataclass covering the deployment (scheme,
-primes, backend), the matching engine (strategy, order, dedupe/subsume,
-incremental re-evaluation) and the session itself (report freshness, journal,
-fault injection, network tier).  Build one by keyword; derive a variant with
-:func:`dataclasses.replace`, which re-runs every validator.
+primes, backend), the matching engine (strategy, order, dedupe/subsume) and
+the session itself (report freshness, journal, fault injection, network
+tier).  Build one by keyword; derive a variant with :func:`dataclasses.replace`,
+which re-runs every validator.
 
 Every validator raises ``ValueError`` naming *all* recognised choices, so a
 typo tells the operator what would have worked.
@@ -154,16 +154,18 @@ class ServiceConfig:
     Matching engine
     ---------------
     matching_strategy / token_order / dedupe / subsume:
-        See :class:`~repro.protocol.matching.MatchingOptions`.
-    incremental:
-        Remember per-(user, alert) outcomes keyed by sequence number so
-        standing zones re-evaluate only users whose ciphertext changed.
+        See :class:`~repro.protocol.matching.MatchingOptions`.  The engine
+        always remembers per-(user, alert) outcomes keyed by sequence number,
+        so a standing tick evaluates only the users whose ciphertext changed.
 
     Session
     -------
     max_age_seconds:
-        Reports older than this are excluded from matching (``None`` disables
-        expiry).
+        Reports older than this are excluded from matching.  The next
+        evaluation pass purges them: the session forgets the pseudonym (its
+        report, hosted user and remembered outcomes), which comes back with a
+        fresh :class:`~repro.service.requests.Subscribe`.  ``None`` disables
+        expiry.
     faults / fault_seed:
         Fault-injection spec for chaos runs (see
         :meth:`~repro.service.faults.FaultPlan.parse`), e.g.
@@ -171,8 +173,8 @@ class ServiceConfig:
         run a named reproducible workload.  ``None`` (default) injects
         nothing and adds zero overhead to the hot paths.
     journal_path:
-        Write-ahead request journal file.  When set, every mutating request
-        is durably appended *before* it executes;
+        Write-ahead request journal file.  When set, every request (the
+        evaluation tick included) is durably appended *before* it executes;
         :meth:`~repro.service.service.AlertService.restore` replays entries
         newer than the restored snapshot, and a snapshot written to a file
         checkpoints (truncates) the journal behind itself.
@@ -197,7 +199,6 @@ class ServiceConfig:
     token_order: str = "cheapest"
     dedupe: bool = True
     subsume: bool = True
-    incremental: bool = False
     max_age_seconds: Optional[float] = None
     faults: Optional[str] = None
     fault_seed: int = 0
@@ -244,7 +245,6 @@ class ServiceConfig:
             order=self.token_order,
             dedupe=self.dedupe,
             subsume=self.subsume,
-            incremental=self.incremental,
         )
 
     def fault_plan(self):

@@ -388,7 +388,7 @@ def run_chaos_soak(
         rows=6, cols=6, sigmoid_a=0.9, sigmoid_b=20, seed=31, extent_meters=600.0
     )
     script = _chaos_script(steps, seed, scenario.grid.n_cells, users)
-    base_kwargs = dict(prime_bits=32, seed=19, incremental=False)
+    base_kwargs = dict(prime_bits=32, seed=19)
     fault_spec = faults or ""
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         tmp_path = pathlib.Path(tmp)

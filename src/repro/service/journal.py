@@ -3,9 +3,11 @@
 A snapshot (:meth:`~repro.service.service.AlertService.snapshot`) is a point
 in time; everything the session mutates *after* it would be lost to a crash.
 The :class:`RequestJournal` closes that window with the classic write-ahead
-rule: every mutating request is appended -- flushed and fsynced -- **before**
-it executes, so after a ``kill -9`` the session restores the latest snapshot
-and replays the journal's newer entries to land exactly where it crashed.
+rule: every request is appended -- flushed and fsynced -- **before** it
+executes (an evaluation tick too: it advances the clock, purges expired
+reports and updates the engine's remembered outcomes), so after a ``kill -9``
+the session restores the latest snapshot and replays the journal's newer
+entries to land exactly where it crashed.
 
 Format: one entry per line, ``crc32_hex<TAB>json``, where the JSON body
 carries a monotonically increasing ``seq`` and the request payload
@@ -71,7 +73,7 @@ class JournalWriteError(RuntimeError):
 # so a journaled request and a framed request are byte-for-byte identical.
 # These aliases keep the journal's historical entry-point names.
 def request_to_payload(request: Request) -> dict:
-    """JSON-compatible form of one mutating service request."""
+    """JSON-compatible form of one service request."""
     return request_to_wire(request)
 
 

@@ -5,7 +5,7 @@ small frozen dataclass handed to the service, and every outcome is a typed
 response.  This mirrors how the protocol itself flows (location updates in,
 token batches in, notifications out) and gives integrators a stable, explicit
 surface -- the service facade can evolve its internals (planning, packing,
-incremental caches) without touching these types.
+the remembered outcomes) without touching these types.
 
 Requests
 --------

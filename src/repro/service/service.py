@@ -16,8 +16,8 @@ module makes **sessions** the unit of work instead:
 * standing zones keep their minted :class:`~repro.protocol.messages.TokenBatch`
   objects alive, which is exactly what lets the engine's plan cache (and the
   plan's resident packed worklist) serve warm evaluations;
-* ``snapshot()``/``restore()`` persist the session (store + incremental
-  matching state + standing-zone tokens) through the existing
+* ``snapshot()``/``restore()`` persist the session (store + the engine's
+  remembered outcomes + standing-zone tokens) through the existing
   ``CiphertextStore``/``MatchingEngine`` serialization;
 * observer hooks receive per-request :class:`~repro.service.requests.RequestMetrics`
   (pairings, plan reuse, candidates) for monitoring.
@@ -114,9 +114,6 @@ class AlertService:
         The unified :class:`ServiceConfig`; defaults throughout.
     scheme:
         Pre-built encoding scheme overriding ``config.scheme``.
-    rng:
-        Random source for key material; defaults to
-        ``random.Random(config.seed)``.
     system:
         Adopt an already-constructed
         :class:`~repro.protocol.alert_system.SecureAlertSystem`: its engine
@@ -149,7 +146,6 @@ class AlertService:
         config: Optional[ServiceConfig] = None,
         *,
         scheme: Optional[EncodingScheme] = None,
-        rng: Optional[random.Random] = None,
         system: Optional[SecureAlertSystem] = None,
     ):
         self.config = config if config is not None else ServiceConfig()
@@ -164,7 +160,7 @@ class AlertService:
                 probabilities,
                 scheme=scheme,
                 prime_bits=self.config.prime_bits,
-                rng=rng if rng is not None else random.Random(self.config.seed),
+                rng=random.Random(self.config.seed),
                 matching=self.config.matching_options(),
                 backend=self.config.crypto_backend,
             )
@@ -178,8 +174,8 @@ class AlertService:
         )
         self.store = CiphertextStore(max_age_seconds=self.config.max_age_seconds)
         self.store.fault_injector = self.fault_injector
-        #: Write-ahead request journal (``config.journal_path``); mutating
-        #: requests are durably appended before they execute.  The network
+        #: Write-ahead request journal (``config.journal_path``); every
+        #: request is durably appended before it executes.  The network
         #: tier group-commits whole ticks through :meth:`journal_requests`.
         self.journal: Optional[RequestJournal] = (
             RequestJournal(self.config.journal_path, fault_injector=self.fault_injector)
@@ -236,7 +232,8 @@ class AlertService:
         A pseudonym already known to the store (a client reconnecting after
         :meth:`restore`) is re-attached with its next sequence number so the
         fresh upload supersedes the restored report instead of starting over
-        at zero and being dropped as stale.
+        at zero and being dropped as stale.  A pseudonym whose report expired
+        and was purged is unknown again and subscribes afresh.
         """
         self._journal_append(request)
         self._set_clock(request.at)
@@ -302,8 +299,8 @@ class AlertService:
             return report
         descriptions = {request.alert_id: request.description} if request.description else None
         report = self._evaluate_batches("publish_zone", [batch], descriptions)
-        if not request.standing and self.engine.options.incremental:
-            # One-shot alerts must not accumulate incremental state forever.
+        if not request.standing:
+            # A one-shot alert is never evaluated again: keep no outcomes.
             self.engine.forget_alert(request.alert_id)
         return report
 
@@ -319,8 +316,11 @@ class AlertService:
 
     def evaluate_standing(self, request: Optional[EvaluateStanding] = None) -> MatchReport:
         """The periodic tick: re-match every standing zone against fresh reports."""
-        self._set_clock(request.at if request is not None else None)
+        request = request if request is not None else EvaluateStanding()
+        self._journal_append(request)
+        self._set_clock(request.at)
         if not self._zones:
+            self._purge_expired()
             report = self._empty_report()
             self._emit("evaluate_standing", report)
             return report
@@ -352,12 +352,24 @@ class AlertService:
             if standing.description
         }
 
+    def _purge_expired(self) -> None:
+        """Forget the pseudonyms whose reports expired at the session clock:
+        their reports, hosted users and remembered outcomes.  A pseudonym that
+        reports again later, even from sequence number 0, is evaluated
+        afresh."""
+        purged = self.store.purge_stale(self._clock)
+        if purged:
+            self.engine.forget_users(purged)
+            for user_id in purged:
+                self.system.forget_user(user_id)
+
     def _evaluate_batches(
         self,
         request_name: str,
         batches: Sequence[TokenBatch],
         descriptions: Optional[dict[str, str]],
     ) -> MatchReport:
+        self._purge_expired()
         counter = self.system.authority.group.counter
         pairings_before = counter.total
         reuses_before = self.engine.plan_reuses
@@ -424,7 +436,11 @@ class AlertService:
         return IngestReceipt(user_id=user_id, sequence_number=report.sequence_number, stored=True)
 
     def _journal_append(self, request: Request) -> None:
-        """Write-ahead: durably record a mutating request before executing it.
+        """Write-ahead: durably record a request before executing it.
+
+        Every request type mutates the session: the evaluation tick too
+        advances the clock, purges expired reports and updates the engine's
+        remembered outcomes, which decide what later ticks are charged.
 
         No-op without a configured journal, during :meth:`restore`'s replay
         (replayed requests are already in the journal), and for requests a
@@ -440,13 +456,12 @@ class AlertService:
     def journal_requests(
         self, requests: Sequence[Request], origins: Optional[Sequence] = None
     ) -> int:
-        """Group-commit a tick's mutating requests ahead of their execution.
+        """Group-commit a tick's requests ahead of their execution.
 
-        The network tier's journal stage: every journal-able request of one
-        coalesced tick (everything except :class:`EvaluateStanding`, which
-        mutates nothing) is appended under a **single** buffered write +
-        fsync, then marked pre-journaled so the per-request handlers skip the
-        duplicate append.  The write-ahead contract is exactly the per-request
+        The network tier's journal stage: every request of one coalesced
+        tick is appended under a **single** buffered write + fsync, then
+        marked pre-journaled so the per-request handlers skip the duplicate
+        append.  The write-ahead contract is exactly the per-request
         one -- all entries are durable before any of them executes -- at one
         fsync per tick instead of one per request.  ``origins``, when given,
         aligns with ``requests`` (one list of ``(client_id, epoch,
@@ -454,24 +469,12 @@ class AlertService:
         alongside each entry so replay can rebuild the idempotency table.
         Returns how many entries were written.
         """
-        if self.journal is None or self._replaying:
+        if self.journal is None or self._replaying or not requests:
             return 0
-        if origins is None:
-            origins = [None] * len(requests)
-        paired = [
-            (request, entry_origins)
-            for request, entry_origins in zip(requests, origins)
-            if not isinstance(request, EvaluateStanding)
-        ]
-        if not paired:
-            return 0
-        self.journal.append_batch(
-            [request for request, _ in paired],
-            origins=[entry_origins for _, entry_origins in paired],
-        )
-        for request, _ in paired:
+        self.journal.append_batch(requests, origins=origins)
+        for request in requests:
             self._prejournaled.add(id(request))
-        return len(paired)
+        return len(requests)
 
     def replay_journal(self) -> int:
         """Journal-only recovery: re-execute every durable entry, in order.
@@ -553,7 +556,7 @@ class AlertService:
     # Snapshot / restore
     # ------------------------------------------------------------------
     def snapshot(self, path: Optional[str | pathlib.Path] = None) -> dict:
-        """Serialize the session: store, incremental state, standing zones.
+        """Serialize the session: store, remembered outcomes, standing zones.
 
         Built on the existing serialization layers --
         :meth:`CiphertextStore.to_payload` embeds
@@ -600,7 +603,7 @@ class AlertService:
 
         The session must share the snapshot's key material -- construct it
         with the same :class:`ServiceConfig` (same seed) or the same adopted
-        system.  Ciphertexts, incremental outcomes and standing-zone tokens
+        system.  Ciphertexts, remembered outcomes and standing-zone tokens
         are restored; the next evaluation rebuilds the plan exactly once.
         """
         if isinstance(source, (str, pathlib.Path)):

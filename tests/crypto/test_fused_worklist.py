@@ -1,8 +1,8 @@
 """The resident packed worklist against the plain fused loop, pass after pass.
 
 :class:`~repro.crypto.backends.base.FusedWorklist` keeps state between
-passes -- packed columns, per-slot residue vectors patched in place, memoised
-outcome rows and deferred column surgery -- and must still return exactly
+passes -- packed columns, per-slot residue vectors patched in place and
+deferred column surgery -- and must still return exactly
 what a stateless :meth:`~repro.crypto.backends.base.GroupBackend.fused_eval`
 returns for the same jobs: the same rows and the same pairing charge, on
 every pass, whatever the history of movers, population sizes, ``needed``
@@ -181,12 +181,14 @@ def test_a_few_movers_compute_no_full_population_vector():
     assert set(worklist._vectors) == cached
 
 
-def test_memoised_rows_still_charge_their_pairings():
-    """An unchanged population is answered from the memo at the same charge."""
+def test_repeat_passes_charge_exactly_the_jobs_that_need_evaluation():
+    """The worklist keeps no outcomes: a repeat pass over an unchanged
+    population charges every job it is asked to evaluate again, and a job
+    that needs nothing is charged nothing (the matching engine answers those
+    from its remembered outcomes)."""
     w = world()
     program = w.programs[0]
-    cells = list(range(12))
-    jobs = _full_jobs(w, 0, cells)
+    jobs = _full_jobs(w, 0, list(range(12)))
     keys = [(i, 0) for i in range(12)]
     expected = w.backend.fused_eval(program, jobs)
     worklist = FusedWorklist(program)
@@ -194,8 +196,14 @@ def test_memoised_rows_still_charge_their_pairings():
     rows, pairings = worklist.evaluate(jobs, keys)
     assert (rows, pairings) == expected
     assert pairings > 0
+    assert worklist.column_hits == 1  # served from the packed columns
     rows[0].append("caller scribble")  # returned rows are the caller's own
     assert worklist.evaluate(jobs, keys) == expected
+    idle = [job[:4] + ((),) for job in jobs]
+    idle[3] = jobs[3]
+    rows, pairings = worklist.evaluate(idle, keys)
+    assert (rows, pairings) == w.backend.fused_eval(program, idle)
+    assert 0 < pairings < expected[1]
 
 
 def test_patched_columns_are_repacked_before_a_new_vector_is_combined():

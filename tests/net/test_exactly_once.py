@@ -328,20 +328,21 @@ def test_journal_write_failure_is_structured_and_server_keeps_serving(scenario, 
             options = NetOptions(port=0, max_inflight=16, batch_max=1)
             async with AlertServiceServer(service, options) as server:
                 async with AlertServiceClient("127.0.0.1", server.port) as client:
-                    # Journaled request: the append fails by injection and the
-                    # answer is a typed error frame, not a dead connection.
+                    # The append fails by injection and the answer is a typed
+                    # error frame, not a dead connection...
                     with pytest.raises(RemoteRequestError) as excinfo:
                         await client.request(
                             Move(user_id="alice", location=scenario.grid.cell_center(5))
                         )
-                    # Non-journaled request on the same connection: served.
-                    report = await client.request(EvaluateStanding())
+                    # ...so the same connection keeps being answered.  Every
+                    # request is journaled, so the next one fails the same way.
+                    with pytest.raises(RemoteRequestError) as again:
+                        await client.request(EvaluateStanding())
             counts = dict(service.fault_injector.counts)
             seq = service.journal.last_seq
-        return excinfo.value.error, report, counts, seq
+        return excinfo.value.error, again.value.error, counts, seq
 
-    error, report, counts, seq = asyncio.run(drive())
-    assert error == "JournalWriteError"
-    assert isinstance(report, MatchReport)
-    assert counts.get("journal_write_fail", 0) >= 1
+    error, second_error, counts, seq = asyncio.run(drive())
+    assert error == second_error == "JournalWriteError"
+    assert counts.get("journal_write_fail", 0) >= 2
     assert seq == 0  # the failed append never consumed a sequence number

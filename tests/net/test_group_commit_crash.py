@@ -46,10 +46,7 @@ DOOMED = textwrap.dedent(
     scenario = make_synthetic_scenario(
         rows=6, cols=6, sigmoid_a=0.9, sigmoid_b=20, seed=31, extent_meters=600.0
     )
-    config = ServiceConfig(
-        prime_bits=32, seed=19, incremental=False,
-        journal_path=journal_path,
-    )
+    config = ServiceConfig(prime_bits=32, seed=19, journal_path=journal_path)
     service = AlertService(scenario.grid, scenario.probabilities, config=config)
 
     real_handle = service.handle
@@ -88,7 +85,7 @@ DOOMED = textwrap.dedent(
                     zone=AlertZone(cell_ids=(5, 6, 7, 11)),
                     evaluate=False,
                 ))
-                # Three slow evaluations (never journaled), staggered so each
+                # Three slow evaluations, staggered so each
                 # forms its own tick: the first occupies the execute stage,
                 # the second fills the double buffer, and the third leaves
                 # the dispatch loop *blocked* on the full buffer.  The move
@@ -118,7 +115,7 @@ DOOMED = textwrap.dedent(
 
 def _recovery_config(journal_path):
     return ServiceConfig(
-        prime_bits=32, seed=19, incremental=False, journal_path=str(journal_path)
+        prime_bits=32, seed=19, journal_path=str(journal_path)
     )
 
 
@@ -149,13 +146,13 @@ def test_sigkilled_group_commit_replays_exactly(tmp_path):
 
     with RequestJournal(journal_path) as journal:
         entries = journal.entries()
-    # Setup (6 subscribes + 1 publish) plus the whole group-committed burst
-    # are durable, though no move ever executed: the journal legitimately
-    # runs ahead of execution, never behind.
+    # Setup (6 subscribes + 1 publish), the three evaluations and the whole
+    # group-committed burst are durable, though no move ever executed: the
+    # journal legitimately runs ahead of execution, never behind.
     assert [seq for seq, _ in entries] == list(range(1, len(entries) + 1))
     types = [payload["type"] for _, payload in entries]
     assert types[:7] == ["subscribe"] * 6 + ["publish_zone"]
-    assert types[7:] == ["move"] * 4
+    assert types[7:] == ["evaluate_standing"] * 3 + ["move"] * 4
 
     # The crash also tore a half-written line onto the tail; recovery must
     # shrug it off exactly as the per-request journal always has.

@@ -51,7 +51,7 @@ def scenario():
 
 
 def make_config() -> ServiceConfig:
-    return ServiceConfig(prime_bits=32, seed=19, incremental=False)
+    return ServiceConfig(prime_bits=32, seed=19)
 
 
 def scripted_requests(scenario, steps: int = 12):

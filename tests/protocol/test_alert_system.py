@@ -61,6 +61,19 @@ class TestLifecycle:
         alert_system.declare_alert(AlertZone(cell_ids=(1, 2)), alert_id="count-check")
         assert alert_system.pairing_count > before
 
+    def test_one_shot_alerts_leave_no_engine_state(self, system):
+        """Repeating an alert pays its pairings again: nothing is remembered."""
+        alert_system, scenario = system
+        alert_system.register_user("erin", scenario.grid.cell_center(9))
+        zone = AlertZone(cell_ids=(9, 10))
+        before = alert_system.pairing_count
+        first = alert_system.declare_alert(zone, alert_id="repeat")
+        spent = alert_system.pairing_count - before
+        assert alert_system.provider.engine.standing_alerts() == []
+        assert alert_system.declare_alert(zone, alert_id="repeat") == first
+        assert alert_system.pairing_count - before == 2 * spent
+        assert alert_system.provider.engine.standing_alerts() == []
+
     def test_issue_token_batch_without_matching(self, system):
         alert_system, scenario = system
         batch = alert_system.issue_token_batch(AlertZone(cell_ids=(3,)), alert_id="tokens-only")

@@ -3,8 +3,8 @@
 The fused path (``MatchingOptions.fused``, backed by
 :meth:`~repro.crypto.backends.base.GroupBackend.fused_eval`) is a pure
 performance feature: for every plan shape hypothesis can dream up --
-duplicate patterns, subsumption chains, short-circuit orders, incremental
-caches -- it must produce the same notifications *and* the same
+duplicate patterns, subsumption chains, short-circuit orders, remembered
+outcomes -- it must produce the same notifications *and* the same
 :class:`~repro.crypto.counting.PairingCounter` totals as the scalar planned
 evaluator, on every available backend.  These tests are
 the contract that lets benchmarks compare the two paths as equals.
@@ -144,9 +144,9 @@ class TestFusedScalarParity:
            moved=st.sets(st.integers(min_value=0, max_value=5)))
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_incremental_parity(self, backend_name, pack_min, pattern_lists, indices,
-                                moved):
-        """Incremental re-evaluation: cached rows + fused remainder == scalar.
+    def test_outcome_reuse_parity(self, backend_name, pack_min, pattern_lists, indices,
+                                  moved):
+        """Warm pass: remembered outcomes + fused remainder == scalar.
 
         With ``pack_min=1`` the second pass drives the resident worklist's
         refresh logic -- unchanged keys reuse packed columns, moved users are
@@ -159,8 +159,7 @@ class TestFusedScalarParity:
         for fused in (True, False):
             engine = MatchingEngine(
                 world.hve,
-                MatchingOptions(incremental=True, fused=fused,
-                                fused_pack_min_jobs=pack_min),
+                MatchingOptions(fused=fused, fused_pack_min_jobs=pack_min),
             )
             before = world.group.counter.total
             pass1 = engine.match(batches, first)
@@ -206,6 +205,7 @@ class TestPackedWorklistResidency:
         assert worklist is not None
         assert worklist.column_hits == 0  # pass 1 built the columns
         hits_before = world.group.precomp_hits
+        engine.reset_state()  # evaluate every user again, from the packed columns
         second = engine.match(batches, candidates)
         assert second == first
         assert evaluation.fused_worklist is worklist  # same resident object

@@ -128,10 +128,10 @@ class TestDeduplication:
         assert planned_pairings <= naive_pairings // 2 + 1
 
 
-class TestIncremental:
+class TestOutcomeReuse:
     def test_unchanged_users_are_not_re_evaluated(self):
         hve, candidates, batches, _, _ = _random_scenario(91)
-        engine = MatchingEngine(hve, MatchingOptions(strategy="planned", incremental=True))
+        engine = MatchingEngine(hve, MatchingOptions(strategy="planned"))
         counter = hve.group.counter
 
         first = engine.match(batches, candidates)
@@ -139,12 +139,12 @@ class TestIncremental:
         second = engine.match(batches, candidates)
         assert counter.total == before  # every (user, alert) outcome was cached
         assert second == first
-        # A fully cached pass never even looks up the plan.
-        assert (engine.plan_builds, engine.plan_reuses) == (1, 0)
+        # A fully cached pass still looks its plan up, and finds it.
+        assert (engine.plan_builds, engine.plan_reuses) == (1, 1)
 
     def test_changed_sequence_number_is_re_evaluated(self):
         hve, candidates, batches, user_cells, encoding = _random_scenario(91)
-        engine = MatchingEngine(hve, MatchingOptions(strategy="planned", incremental=True))
+        engine = MatchingEngine(hve, MatchingOptions(strategy="planned"))
         counter = hve.group.counter
         engine.match(batches, candidates)
 
@@ -169,7 +169,7 @@ class TestIncremental:
     def test_redeclared_alert_with_new_tokens_invalidates_cache(self):
         """Re-issuing an alert id with a different zone must not serve stale outcomes."""
         hve, candidates, batches, _, _ = _random_scenario(91, n_alerts=2)
-        engine = MatchingEngine(hve, MatchingOptions(strategy="planned", incremental=True))
+        engine = MatchingEngine(hve, MatchingOptions(strategy="planned"))
         counter = hve.group.counter
 
         first_zone = batches[0]
@@ -189,13 +189,33 @@ class TestIncremental:
 
     def test_state_management(self):
         hve, candidates, batches, _, _ = _random_scenario(91)
-        engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        engine = MatchingEngine(hve)
         engine.match(batches, candidates)
         assert engine.standing_alerts() == sorted(b.alert_id for b in batches)
         engine.forget_alert(batches[0].alert_id)
         assert batches[0].alert_id not in engine.standing_alerts()
         engine.reset_state()
         assert engine.standing_alerts() == []
+
+    def test_forgotten_users_are_evaluated_afresh(self):
+        """A forgotten pseudonym that reports again from the same sequence
+        number is evaluated against its new ciphertext, not answered from
+        the outcome of its old one."""
+        hve, candidates, batches, _, _ = _random_scenario(91)
+        engine = MatchingEngine(hve)
+        engine.match(batches, candidates)
+        user_id = candidates[0].user_id
+        engine.forget_users([user_id, "never-seen"])
+        for entry in engine.export_state()["alerts"].values():
+            assert user_id not in entry["outcomes"]
+        counter = hve.group.counter
+        before = counter.total
+        again = engine.match(batches, candidates)
+        spent = counter.total - before
+        assert again == MatchingEngine(hve).match(batches, candidates)
+        # Only the forgotten user paid pairings on the repeat pass.
+        per_user_bound = sum(batch.pairing_cost_per_ciphertext for batch in batches)
+        assert 0 < spent <= per_user_bound
 
 
 class TestSubsumption:
@@ -294,11 +314,9 @@ class TestSubsumption:
         assert plan.generalizers is None
 
     @pytest.mark.parametrize("seed", [11, 47, 101])
-    def test_subsumption_interacts_safely_with_incremental(self, seed):
+    def test_subsumption_interacts_safely_with_outcome_reuse(self, seed):
         hve, candidates, batches, _, _ = _random_scenario(seed, n_alerts=3)
-        engine = MatchingEngine(
-            hve, MatchingOptions(strategy="planned", subsume=True, incremental=True)
-        )
+        engine = MatchingEngine(hve, MatchingOptions(strategy="planned", subsume=True))
         first = engine.match(batches, candidates)
         plain = MatchingEngine(hve, MatchingOptions(strategy="planned", subsume=False)).match(
             batches, candidates
@@ -421,7 +439,7 @@ class TestTransitiveReduction:
 class TestEngineStatePersistence:
     def test_export_import_round_trip(self):
         hve, candidates, batches, _, _ = _random_scenario(177)
-        engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        engine = MatchingEngine(hve)
         first = engine.match(batches, candidates)
         snapshot = engine.export_state()
 
@@ -429,7 +447,7 @@ class TestEngineStatePersistence:
         # every unchanged user from cache: zero pairings, same notifications.
         import json
 
-        restored = MatchingEngine(hve, MatchingOptions(incremental=True))
+        restored = MatchingEngine(hve)
         restored.import_state(json.loads(json.dumps(snapshot)))
         assert restored.standing_alerts() == engine.standing_alerts()
         before = hve.group.counter.total

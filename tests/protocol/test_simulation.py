@@ -1,7 +1,11 @@
 """Tests for the population-scale alert-service simulation."""
 
+import dataclasses
+import json
+
 import pytest
 
+from repro.crypto.serialization import serialize_ciphertext
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.protocol.simulation import AlertServiceSimulation, SimulationConfig, SimulationResult
 from repro.service import ServiceConfig
@@ -91,9 +95,28 @@ class TestAlertServiceSimulation:
             with AlertServiceSimulation(
                 scenario.grid, scenario.probabilities, config=config, service_config=service_config
             ) as simulation:
-                assert simulation.service.config is service_config
+                # No service seed: the key material falls back to the workload's.
+                assert simulation.service.config == dataclasses.replace(
+                    service_config, seed=config.seed + 1
+                )
                 rows[strategy] = simulation.run(3).as_rows()
         assert rows["planned"] == rows["naive"]
+
+    def test_service_seed_drives_the_key_material(self, scenario):
+        """Two service seeds: different ciphertext bytes, equal totals."""
+        config = SimulationConfig(num_users=6, alert_rate_per_step=2.0, alert_radius=80.0, seed=3)
+        ciphertexts, rows = [], []
+        for seed in (1, 2):
+            service_config = ServiceConfig(prime_bits=32, seed=seed)
+            with AlertServiceSimulation(
+                scenario.grid, scenario.probabilities, config=config, service_config=service_config
+            ) as simulation:
+                assert simulation.service.config is service_config
+                rows.append(simulation.run(3).as_rows())
+                report = simulation.service.store.report_for("sim-user-0000")
+                ciphertexts.append(json.dumps(serialize_ciphertext(report.ciphertext)))
+        assert ciphertexts[0] != ciphertexts[1]
+        assert rows[0] == rows[1]
 
     def test_invalid_steps(self, scenario):
         config = SimulationConfig(num_users=3, seed=6)

@@ -7,7 +7,7 @@ import pytest
 from repro.crypto.group import BilinearGroup
 from repro.crypto.hve import HVE
 from repro.encoding.huffman import HuffmanEncodingScheme
-from repro.protocol.matching import MatchingEngine, MatchingOptions
+from repro.protocol.matching import MatchingEngine
 from repro.protocol.messages import LocationUpdate, TokenBatch
 from repro.protocol.store import CiphertextStore
 
@@ -60,7 +60,7 @@ class TestCiphertextStore:
         store.ingest(_update(setup, "bob", 3), received_at=100.0)
         assert [r.user_id for r in store.fresh_reports(now=110.0)] == ["bob"]
         assert store.stale_users(now=110.0) == ["alice"]
-        assert store.purge_stale(now=110.0) == 1
+        assert store.purge_stale(now=110.0) == ["alice"]
         assert len(store) == 1
 
     def test_no_expiry_by_default(self, setup):
@@ -91,14 +91,14 @@ class TestCiphertextStore:
         assert notified == ["alice"]
 
     def test_restart_preserves_standing_alert_state(self, setup, tmp_path):
-        """Provider restart: store + incremental engine state round-trip, so
+        """Provider restart: store + remembered engine outcomes round-trip, so
         standing alerts re-evaluate to identical notifications at zero
         pairings for unchanged users."""
         encoding, hve, keys = setup
         store = CiphertextStore()
         store.ingest(_update(setup, "alice", 2), received_at=10.0)
         store.ingest(_update(setup, "bob", 5), received_at=20.0)
-        engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        engine = MatchingEngine(hve)
         batches = [_batch(setup, "standing-1", [2, 3]), _batch(setup, "standing-2", [5])]
         first = engine.match_store(batches, store, now=30.0)
         assert first  # the scenario actually notifies someone
@@ -107,7 +107,7 @@ class TestCiphertextStore:
         store.save(path, engine=engine)
 
         # --- restart: fresh engine + store rebuilt from disk ---------------
-        restored_engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        restored_engine = MatchingEngine(hve)
         restored = CiphertextStore.load(path, hve.group, engine=restored_engine)
         assert len(restored) == 2
         assert restored_engine.standing_alerts() == ["standing-1", "standing-2"]
@@ -129,12 +129,12 @@ class TestCiphertextStore:
         encoding, hve, keys = setup
         store = CiphertextStore()
         store.ingest(_update(setup, "alice", 2), received_at=10.0)
-        engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        engine = MatchingEngine(hve)
         engine.match_store([_batch(setup, "standing", [2])], store, now=20.0)
         path = tmp_path / "provider.json"
         store.save(path, engine=engine)
 
-        restored_engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        restored_engine = MatchingEngine(hve)
         restored = CiphertextStore.load(path, hve.group, engine=restored_engine)
         counter = hve.group.counter
         before = counter.total
@@ -149,14 +149,14 @@ class TestCiphertextStore:
         encoding, hve, keys = setup
         store = CiphertextStore()
         store.ingest(_update(setup, "alice", 2), received_at=10.0)
-        engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        engine = MatchingEngine(hve)
         engine.match_store([_batch(setup, "standing", [2])], store, now=20.0)
         path = tmp_path / "provider.json"
         store.save(path, engine=engine)
 
         restored = CiphertextStore.load(path, hve.group)
         assert restored.matching_state is not None
-        later = MatchingEngine(hve, MatchingOptions(incremental=True))
+        later = MatchingEngine(hve)
         assert later.standing_alerts() == []
         later.import_state(restored.matching_state)
         assert later.standing_alerts() == ["standing"]
@@ -168,7 +168,7 @@ class TestCiphertextStore:
         store.ingest(_update(setup, "alice", 2), received_at=10.0)
         path = tmp_path / "store.json"
         store.save(path)
-        engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        engine = MatchingEngine(hve)
         restored = CiphertextStore.load(path, hve.group, engine=engine)
         assert restored.matching_state is None
         assert engine.standing_alerts() == []
@@ -198,12 +198,12 @@ class TestCiphertextStore:
         # age == max_age: included in fresh_reports, excluded from stale_users.
         assert [r.user_id for r in store.fresh_reports(now=60.0)] == ["edge"]
         assert store.stale_users(now=60.0) == []
-        assert store.purge_stale(now=60.0) == 0
+        assert store.purge_stale(now=60.0) == []
         assert len(store) == 1
         # One tick past the boundary the report expires.
         assert store.fresh_reports(now=60.0000001) == []
         assert store.stale_users(now=60.0000001) == ["edge"]
-        assert store.purge_stale(now=60.0000001) == 1
+        assert store.purge_stale(now=60.0000001) == ["edge"]
         assert len(store) == 0
 
     def test_out_of_order_sequence_ingestion(self, setup):

@@ -4,16 +4,17 @@ Each script ingests, moves, re-delivers and expires reports in a
 :class:`~repro.protocol.store.CiphertextStore` and ticks two standing alerts
 through a :class:`~repro.protocol.matching.MatchingEngine`.  The contract
 pinned here, for every evaluation mode (packed worklist, plain fused call,
-scalar planned evaluator, naive) with and without incremental state:
+scalar planned evaluator, naive):
 
 * every tick notifies exactly the users a plaintext oracle puts inside each
-  zone, among the reports still fresh at the tick;
+  zone, among the reports still fresh at the tick, and exactly what an
+  engine without remembered outcomes notifies;
 * fused and packed evaluation charge bit-exactly the pairings of the scalar
   evaluator;
-* with incremental state, a tick that sees the same fresh (user, sequence)
-  population as the previous one costs zero pairings, and a move costs
-  exactly the mover's own evaluation;
-* the store's payload, together with the engine's incremental state, can
+* a tick that sees the same fresh (user, sequence) population as the
+  previous one costs zero pairings, and a move costs exactly the mover's own
+  evaluation;
+* the store's payload, together with the engine's remembered outcomes, can
   stop a session midway and resume it with identical outcomes.
 """
 
@@ -69,8 +70,8 @@ def _batch(world, alert_id, cells):
     return TokenBatch(alert_id=alert_id, tokens=tokens)
 
 
-def _options(mode, incremental):
-    return MatchingOptions(incremental=incremental, **MODES[mode])
+def _options(mode):
+    return MatchingOptions(**MODES[mode])
 
 
 def _keys(notifications):
@@ -188,8 +189,12 @@ def _oracle(max_age, script):
     return ticks
 
 
-def _run(world, options, max_age, script, engine=None, store=None):
-    """Play ``script``; returns per-tick notification keys and pairings."""
+def _run(world, options, max_age, script, engine=None, store=None, reset=False):
+    """Play ``script``; returns per-tick notification keys and pairings.
+
+    ``reset`` drops the engine's remembered outcomes before every tick, so
+    each tick evaluates the whole fresh population.
+    """
     hve, batches = world[1], world[3]
     engine = engine if engine is not None else MatchingEngine(hve, options)
     store = store if store is not None else CiphertextStore(max_age_seconds=max_age)
@@ -200,8 +205,10 @@ def _run(world, options, max_age, script, engine=None, store=None):
             _, user, cell, sequence, at = event
             store.ingest(_update(world, user, cell, sequence), received_at=at)
         elif event[0] == "purge":
-            store.purge_stale(event[1])
+            engine.forget_users(store.purge_stale(event[1]))
         else:
+            if reset:
+                engine.reset_state()
             before = counter.total
             passes.append(_keys(engine.match_store(batches, store, event[1])))
             costs.append(counter.total - before)
@@ -210,26 +217,25 @@ def _run(world, options, max_age, script, engine=None, store=None):
 
 class TestScriptedParity:
     @pytest.mark.parametrize("script", sorted(SCRIPTS))
-    @pytest.mark.parametrize("incremental", [False, True])
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_ticks_match_the_oracle_and_the_scalar_pairings(self, world, mode, incremental, script):
+    def test_ticks_match_the_oracle_and_the_scalar_pairings(self, world, mode, script):
         max_age, events = SCRIPTS[script]
-        passes, costs = _run(world, _options(mode, incremental), max_age, events)
+        passes, costs = _run(world, _options(mode), max_age, events)
         expected = _oracle(max_age, events)
         assert passes == [notified for notified, _ in expected]
         assert any(passes), "the script must notify someone"
 
         if mode != "naive":
-            _, scalar_costs = _run(world, _options("scalar", incremental), max_age, events)
+            _, scalar_costs = _run(world, _options("scalar"), max_age, events)
             assert costs == scalar_costs
-        if incremental:
-            _, full_costs = _run(world, _options(mode, False), max_age, events)
-            assert sum(costs) <= sum(full_costs)
-            previous = None
-            for cost, (_, fresh) in zip(costs, expected):
-                if fresh == previous:
-                    assert cost == 0, "a warm tick must be answered from remembered outcomes"
-                previous = fresh
+        full, full_costs = _run(world, _options(mode), max_age, events, reset=True)
+        assert full == passes
+        assert sum(costs) <= sum(full_costs)
+        previous = None
+        for cost, (_, fresh) in zip(costs, expected):
+            if fresh == previous:
+                assert cost == 0, "a warm tick must be answered from remembered outcomes"
+            previous = fresh
 
 
 @settings(max_examples=15, deadline=None)
@@ -239,7 +245,6 @@ def test_property_random_sessions_match_the_oracle(world_module, data):
     exactly the oracle's users, and fused evaluation charges scalar pairings."""
     world = world_module
     mode = data.draw(st.sampled_from(sorted(MODES)), label="mode")
-    incremental = data.draw(st.booleans(), label="incremental")
     max_age = data.draw(st.sampled_from([None, 3.0]), label="max_age")
     n_users = data.draw(st.integers(min_value=1, max_value=9), label="users")
     # One cell per (user, revision): a re-delivered revision carries the
@@ -269,10 +274,10 @@ def test_property_random_sessions_match_the_oracle(world_module, data):
             events.append(("tick", now))
     events.append(("tick", now + 1.0))
 
-    passes, costs = _run(world, _options(mode, incremental), max_age, events)
+    passes, costs = _run(world, _options(mode), max_age, events)
     assert passes == [notified for notified, _ in _oracle(max_age, events)]
     if mode != "naive":
-        assert costs == _run(world, _options("scalar", incremental), max_age, events)[1]
+        assert costs == _run(world, _options("scalar"), max_age, events)[1]
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +286,7 @@ def world_module(world):
 
 
 @pytest.mark.parametrize("mode", sorted(MODES))
-class TestIncrementalTicks:
+class TestRememberedOutcomes:
     def _seed_store(self, world, store, n=6):
         for i in range(n):
             store.ingest(_update(world, f"user-{i:02d}", i), received_at=0.0)
@@ -289,7 +294,7 @@ class TestIncrementalTicks:
     def test_warm_tick_costs_no_pairings(self, world, mode):
         hve, batches = world[1], world[3]
         store = CiphertextStore()
-        engine = MatchingEngine(hve, _options(mode, True))
+        engine = MatchingEngine(hve, _options(mode))
         self._seed_store(world, store)
         first = engine.match_store(batches, store, 0.0)
         assert engine.last_pass.zones_evaluated == 2
@@ -303,7 +308,7 @@ class TestIncrementalTicks:
     def test_move_costs_exactly_the_movers_evaluation(self, world, mode):
         hve, batches = world[1], world[3]
         store = CiphertextStore()
-        engine = MatchingEngine(hve, _options(mode, True))
+        engine = MatchingEngine(hve, _options(mode))
         self._seed_store(world, store)
         engine.match_store(batches, store, 0.0)
 
@@ -315,7 +320,7 @@ class TestIncrementalTicks:
         assert ("user-02", "alert-b") in notified
         assert ("user-02", "alert-a") not in notified
 
-        alone = MatchingEngine(hve, _options(mode, False))
+        alone = MatchingEngine(hve, _options(mode))
         before = hve.group.counter.total
         alone.match(batches, [MatchCandidate("user-02", moved.ciphertext, 1)])
         assert moved_cost == hve.group.counter.total - before > 0
@@ -327,7 +332,7 @@ class TestIncrementalTicks:
     def test_expiry_drops_notifications_and_purge_empties_the_store(self, world, mode):
         hve, batches = world[1], world[3]
         store = CiphertextStore(max_age_seconds=10.0)
-        engine = MatchingEngine(hve, _options(mode, True))
+        engine = MatchingEngine(hve, _options(mode))
         store.ingest(_update(world, "inside", 0), received_at=0.0)
         store.ingest(_update(world, "other", 5), received_at=0.0)
         first = _keys(engine.match_store(batches, store, 1.0))
@@ -336,14 +341,19 @@ class TestIncrementalTicks:
         # Both reports expire: remembered outcomes must not resurrect them.
         assert engine.match_store(batches, store, 100.0) == []
         assert engine.last_pass.candidates == 0
-        assert store.purge_stale(100.0) == 2
+        engine.forget_users(store.purge_stale(100.0))
         assert len(store) == 0
+        assert all(not entry["outcomes"] for entry in engine.export_state()["alerts"].values())
         assert engine.match_store(batches, store, 100.0) == []
+        # The pseudonym reports again from sequence 0, now outside both
+        # zones: it is evaluated afresh, not answered from its old outcome.
+        store.ingest(_update(world, "inside", 8), received_at=101.0)
+        assert engine.match_store(batches, store, 101.0) == []
 
     def test_forget_alert_forces_re_evaluation(self, world, mode):
         hve, batches = world[1], world[3]
         store = CiphertextStore()
-        engine = MatchingEngine(hve, _options(mode, True))
+        engine = MatchingEngine(hve, _options(mode))
         self._seed_store(world, store)
         first = engine.match_store(batches, store, 0.0)
         engine.forget_alert("alert-a")
@@ -358,7 +368,7 @@ class TestIncrementalTicks:
     def test_redeclared_zone_with_new_tokens_is_re_evaluated(self, world, mode):
         hve = world[1]
         store = CiphertextStore()
-        engine = MatchingEngine(hve, _options(mode, True))
+        engine = MatchingEngine(hve, _options(mode))
         store.ingest(_update(world, "user-00", 4), received_at=0.0)
         assert engine.match_store([_batch(world, "A", [0])], store, 0.0) == []
 
@@ -378,7 +388,7 @@ class TestStoreRevisions:
     def test_rejected_stale_revision_keeps_the_next_tick_warm(self, world):
         hve, batches = world[1], world[3]
         store = CiphertextStore()
-        engine = MatchingEngine(hve, MatchingOptions(incremental=True))
+        engine = MatchingEngine(hve)
         store.ingest(_update(world, "alice", 0, sequence=2), received_at=0.0)
         first = engine.match_store(batches, store, 0.0)
         assert not store.ingest(_update(world, "alice", 4, sequence=1), received_at=1.0)
@@ -427,19 +437,18 @@ class TestPersistence:
         payload["matching_state"] = {"kind": "something_else"}
         with pytest.raises(ValueError, match="matching-engine state"):
             CiphertextStore.from_payload(
-                payload, hve.group, engine=MatchingEngine(hve, MatchingOptions(incremental=True))
+                payload, hve.group, engine=MatchingEngine(hve)
             )
 
-    @pytest.mark.parametrize("incremental", [False, True])
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_restore_midway_changes_nothing(self, world, mode, incremental):
+    def test_restore_midway_changes_nothing(self, world, mode):
         """Stop the "movers" script after its first move, round-trip store and
         engine state through JSON, and resume in a fresh engine: outcomes and
         pairings match the uninterrupted run."""
         hve = world[1]
         max_age, events = SCRIPTS["movers"]
         split = events.index(("tick", 2.0)) + 1
-        options = _options(mode, incremental)
+        options = _options(mode)
         whole, whole_costs = _run(world, options, max_age, events)
 
         engine = MatchingEngine(hve, options)
@@ -453,6 +462,5 @@ class TestPersistence:
         )
         assert head + tail == whole
         assert head_costs + tail_costs == whole_costs
-        if incremental:
-            assert resumed_engine.standing_alerts() == sorted(ZONES)
-            assert tail_costs[0] == 0  # the tick after the restore is warm
+        assert resumed_engine.standing_alerts() == sorted(ZONES)
+        assert tail_costs[0] == 0  # the tick after the restore is warm

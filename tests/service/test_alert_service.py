@@ -146,17 +146,15 @@ class TestRequests:
 
 
 class TestFreshness:
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_expired_reports_are_not_matched(self, scenario, incremental):
+    def test_expired_reports_are_not_matched(self, scenario):
+        grid = scenario.grid
         with AlertService(
-            scenario.grid,
+            grid,
             scenario.probabilities,
-            config=ServiceConfig(
-                prime_bits=32, seed=7, max_age_seconds=10.0, incremental=incremental
-            ),
+            config=ServiceConfig(prime_bits=32, seed=7, max_age_seconds=10.0),
         ) as service:
-            service.subscribe(Subscribe(user_id="alice", location=scenario.grid.cell_center(7), at=0.0))
-            service.subscribe(Subscribe(user_id="bob", location=scenario.grid.cell_center(7), at=8.0))
+            service.subscribe(Subscribe(user_id="alice", location=grid.cell_center(7), at=0.0))
+            service.subscribe(Subscribe(user_id="bob", location=grid.cell_center(7), at=8.0))
             report = service.publish_zone(
                 PublishZone(alert_id="z", zone=AlertZone(cell_ids=(7,)), at=15.0)
             )
@@ -168,12 +166,62 @@ class TestFreshness:
             service.publish_zone(
                 PublishZone(alert_id="s", zone=AlertZone(cell_ids=(7,)), evaluate=False)
             )
-            service.subscribe(Subscribe(user_id="carol", location=scenario.grid.cell_center(7), at=16.0))
+            service.subscribe(Subscribe(user_id="carol", location=grid.cell_center(7), at=16.0))
             assert service.evaluate_standing(EvaluateStanding(at=16.0)).notified_users == (
                 "bob",
                 "carol",
             )
             assert service.evaluate_standing(EvaluateStanding(at=20.0)).notified_users == ("carol",)
+
+            # Fifty users subscribe and expire: the tick at t=100 purges
+            # their reports and the engine's outcomes for them.
+            crowd = [f"crowd-{i:02d}" for i in range(50)]
+            for i, user_id in enumerate(crowd):
+                cell = i % grid.n_cells
+                service.subscribe(Subscribe(user_id=user_id, location=grid.cell_center(cell), at=30.0))
+            tick = service.evaluate_standing(EvaluateStanding(at=31.0))
+            assert tick.candidates == 50
+            assert tick.notified_users == ("crowd-07", "crowd-43")
+            assert service.evaluate_standing(EvaluateStanding(at=100.0)).candidates == 0
+            assert len(service.store) == 0
+            assert service.engine.export_state()["alerts"]["s"]["outcomes"] == {}
+
+            # A purged pseudonym re-subscribes and matches at its new cell.
+            receipt = service.subscribe(
+                Subscribe(user_id="crowd-03", location=grid.cell_center(7), at=101.0)
+            )
+            assert receipt.stored is True
+            tick = service.evaluate_standing(EvaluateStanding(at=101.0))
+            assert tick.notified_users == ("crowd-03",)
+
+    def test_purged_device_restarting_at_sequence_zero_is_evaluated_afresh(self, scenario):
+        """A device whose report expired uploads sequence 0 again from a new
+        cell: the standing zone must see the new ciphertext, not the outcome
+        remembered for the old sequence-0 report."""
+        grid = scenario.grid
+        with AlertService(
+            grid,
+            scenario.probabilities,
+            config=ServiceConfig(prime_bits=32, seed=7, max_age_seconds=10.0),
+        ) as service:
+            authority = service.system.authority
+
+            def upload(cell, at):
+                ciphertext = authority.hve.encrypt(
+                    authority.public_key, authority.public_encoding().index_of(cell)
+                )
+                update = LocationUpdate(user_id="device", ciphertext=ciphertext, sequence_number=0)
+                return service.ingest_batch(IngestBatch(updates=(update,), at=at))
+
+            service.publish_zone(
+                PublishZone(alert_id="s", zone=AlertZone(cell_ids=(7,)), evaluate=False)
+            )
+            assert upload(7, at=0.0).notified_users == ("device",)
+            assert service.evaluate_standing(EvaluateStanding(at=50.0)).candidates == 0
+            assert "device" not in service.store
+            assert upload(3, at=51.0).notified_users == ()
+            warm = service.evaluate_standing(EvaluateStanding(at=52.0))
+            assert (warm.notified_users, warm.pairings_spent) == ((), 0)
 
 
 class TestObserverMetrics:
@@ -206,7 +254,7 @@ class TestObserverMetrics:
 class TestSnapshotRestore:
     def test_round_trip_preserves_store_zones_and_state(self, scenario, tmp_path):
         path = tmp_path / "session.json"
-        with make_service(scenario, incremental=True) as service:
+        with make_service(scenario) as service:
             service.subscribe(Subscribe(user_id="alice", location=scenario.grid.cell_center(7)))
             service.subscribe(Subscribe(user_id="bob", location=scenario.grid.cell_center(28)))
             service.publish_zone(
@@ -215,13 +263,13 @@ class TestSnapshotRestore:
             first = service.evaluate_standing()
             service.snapshot(path)
 
-            with make_service(scenario, incremental=True) as restored:
+            with make_service(scenario) as restored:
                 restored.restore(path)
                 assert restored.subscriber_count == 2
                 assert restored.standing_zones() == ("z",)
                 assert restored.standing_zone("z").description == "danger"
                 assert restored.clock == service.clock
-                # The incremental cache answers the warm tick without pairings.
+                # Remembered outcomes answer the warm tick without pairings.
                 before = restored.pairing_count
                 tick = restored.evaluate_standing()
                 assert tick.notifications == first.notifications
@@ -287,12 +335,11 @@ class TestSnapshotRestore:
             # ...and a receipt built right after the drop says so.
             assert service._receipt_for("alice").stored is False
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_resubscribe_after_restore_resumes_the_sequence(self, scenario, incremental):
+    def test_resubscribe_after_restore_resumes_the_sequence(self, scenario):
         """Regression: a client reconnecting via Subscribe after a restore
         must supersede the restored report, not restart at sequence 0 (which
         the store would silently drop forever after)."""
-        with make_service(scenario, incremental=incremental) as donor:
+        with make_service(scenario) as donor:
             donor.subscribe(Subscribe(user_id="alice", location=scenario.grid.cell_center(6)))
             donor.publish_zone(PublishZone(alert_id="z", zone=AlertZone(cell_ids=(2,)), evaluate=False))
             for _ in range(3):
@@ -300,7 +347,7 @@ class TestSnapshotRestore:
                 assert donor.evaluate_standing().notified_users == ()
             payload = donor.snapshot()
 
-        with make_service(scenario, incremental=incremental) as service:
+        with make_service(scenario) as service:
             service.restore(payload)
             receipt = service.subscribe(
                 Subscribe(user_id="alice", location=scenario.grid.cell_center(2))
@@ -368,6 +415,18 @@ class TestOneShotAlerts:
         before = one_shot_service.pairing_count
         one_shot(one_shot_service, "counter", AlertZone(cell_ids=(1,)))
         assert one_shot_service.pairing_count > before
+
+    def test_one_shot_alerts_leave_no_engine_state(self, scenario):
+        """Repeating a one-shot alert pays its pairings again."""
+        with make_service(scenario) as service:
+            service.subscribe(Subscribe(user_id="alice", location=scenario.grid.cell_center(7)))
+            zone = AlertZone(cell_ids=(7, 8))
+            first = one_shot(service, "flash", zone)
+            assert first.notified_users == ("alice",)
+            assert service.engine.standing_alerts() == []
+            again = one_shot(service, "flash", zone)
+            assert again.pairings_spent == first.pairings_spent > 0
+            assert service.engine.standing_alerts() == []
 
 
 class TestOneShotAlertsPerScheme:

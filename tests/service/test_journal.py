@@ -208,27 +208,26 @@ class TestGroupCommit:
                 Move(user_id="alice", location=scenario.grid.cell_center(3)),
                 EvaluateStanding(),
             ]
-            # The network tier's journal stage: everything mutating in the
-            # tick lands under one group commit...
-            assert service.journal_requests(requests) == 2
-            assert service.journal.last_seq == 2
+            # The network tier's journal stage: the whole tick, evaluation
+            # included, lands under one group commit...
+            assert service.journal_requests(requests) == 3
+            assert service.journal.last_seq == 3
             assert service.journal.group_commits == 1
             # ...and the per-request handlers skip the duplicate append.
             for request in requests:
                 service.handle(request)
-            assert service.journal.last_seq == 2
+            assert service.journal.last_seq == 3
             # A request no group commit covered appends exactly as before.
             service.move(Move(user_id="alice", location=scenario.grid.cell_center(4)))
-            assert service.journal.last_seq == 3
+            assert service.journal.last_seq == 4
             types = [payload["type"] for _, payload in service.journal.entries()]
-            assert types == ["subscribe", "move", "move"]
+            assert types == ["subscribe", "move", "evaluate_standing", "move"]
 
 
 def _recovery_config(journal_path):
     return ServiceConfig(
         prime_bits=32,
         seed=19,
-        incremental=False,
         journal_path=str(journal_path),
     )
 
@@ -297,10 +296,7 @@ class TestCrashRecovery:
                     rows=6, cols=6, sigmoid_a=0.9, sigmoid_b=20, seed=31,
                     extent_meters=600.0,
                 )
-                config = ServiceConfig(
-                    prime_bits=32, seed=19, incremental=False,
-                    journal_path=journal_path,
-                )
+                config = ServiceConfig(prime_bits=32, seed=19, journal_path=journal_path)
                 service = AlertService(
                     scenario.grid, scenario.probabilities, config=config
                 )
@@ -362,7 +358,7 @@ class TestCrashRecovery:
             recovered.close()
 
     def test_snapshot_records_zero_journal_seq_without_a_journal(self, tmp_path, scenario):
-        config = ServiceConfig(prime_bits=32, seed=19, incremental=False)
+        config = ServiceConfig(prime_bits=32, seed=19)
         with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
             _drive_session(service, scenario)
             payload = service.snapshot(tmp_path / "state.json")

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.protocol.matching import MATCHING_STRATEGIES, TOKEN_ORDERS
+from repro.protocol.matching import MATCHING_STRATEGIES, TOKEN_ORDERS, MatchingOptions
 from repro.service import ServiceConfig
 
 
@@ -12,7 +12,12 @@ class TestValidation:
     def test_defaults_are_valid(self):
         config = ServiceConfig()
         assert config.scheme == "huffman"
-        assert config.incremental is False
+
+    def test_outcome_reuse_has_no_switch(self):
+        # Remembered outcomes are the engine's only behaviour, not an option.
+        with pytest.raises(TypeError):
+            ServiceConfig(incremental=True)
+        assert "incremental" not in {field.name for field in dataclasses.fields(MatchingOptions)}
 
     def test_scheme_aliases_are_normalised(self):
         assert ServiceConfig(scheme="bary").scheme == "huffman-bary"
@@ -92,14 +97,12 @@ class TestDerivedViews:
             token_order="declared",
             dedupe=False,
             subsume=False,
-            incremental=True,
         )
         options = config.matching_options()
         assert options.strategy == "naive"
         assert options.order == "declared"
         assert options.dedupe is False
         assert options.subsume is False
-        assert options.incremental is True
 
 
 class TestReplace:
@@ -107,11 +110,11 @@ class TestReplace:
 
     def test_replace_derives_a_variant(self):
         base = ServiceConfig(scheme="bary", alphabet_size=4)
-        config = dataclasses.replace(base, prime_bits=48, incremental=True, max_age_seconds=60.0)
+        config = dataclasses.replace(base, prime_bits=48, dedupe=False, max_age_seconds=60.0)
         assert config.scheme == "huffman-bary"
         assert config.alphabet_size == 4
         assert config.prime_bits == 48
-        assert config.incremental is True
+        assert config.dedupe is False
         assert config.max_age_seconds == 60.0
 
     def test_untouched_fields_keep_defaults(self):

@@ -2,22 +2,26 @@
 
 One script -- subscriptions, standing zones, ticks, moves, a one-shot zone, a
 retraction and report expiry -- is driven through a session for every
-encoding scheme, both matching strategies and with and without incremental
-re-evaluation.  Every match report must notify exactly the fresh users the
-plaintext registry places inside the evaluated zones, and in incremental mode
-a tick over an unchanged population must cost no pairings.  Stopping the
-session midway and restoring its snapshot into a new session must change
-neither notifications nor pairing totals.
+encoding scheme and both matching strategies.  Every match report must notify
+exactly the fresh users the plaintext registry places inside the evaluated
+zones, and a tick over an unchanged population must cost no pairings.
+Stopping the session midway and restoring its snapshot into a new session
+must change neither notifications nor pairing totals.  A hypothesis property
+drives random subscribe / move / tick / expire sessions and checks every
+warm tick against an engine without remembered outcomes.
 """
 
 import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import make_synthetic_scenario
 from repro.encoding import SCHEME_NAMES
 from repro.grid.alert_zone import AlertZone
+from repro.protocol.matching import MatchingEngine
 from repro.service import (
     AlertService,
     EvaluateStanding,
@@ -58,7 +62,7 @@ def _script(grid):
         ("move", ("user-05", grid.cell_center(9)), 18.0),
         ("tick", None, 19.0),
         ("tick", None, 55.0),  # the first subscribers' reports have expired
-        ("move", ("user-02", grid.cell_center(13)), 56.0),
+        ("subscribe", ("user-02", grid.cell_center(13)), 56.0),  # back after expiry
         ("tick", None, 57.0),
     ]
     return steps
@@ -106,7 +110,9 @@ def _drive(service, scenario, steps, check=True, state=None):
             )
             assert sorted((n.user_id, n.alert_id) for n in report.notifications) == expected
             assert report.candidates == len(fresh)
-            if kind == "tick" and service.config.incremental:
+            if kind == "one_shot":
+                assert payload[0] not in service.engine.standing_alerts()
+            if kind == "tick":
                 snapshot = ({u: reported[u] for u in fresh}, tuple(zones))
                 if snapshot == state["last_fresh"]:
                     assert report.pairings_spent == 0
@@ -117,22 +123,20 @@ def _drive(service, scenario, steps, check=True, state=None):
     return outcomes, candidates
 
 
-def _config(scheme, strategy, incremental):
+def _config(scheme, strategy):
     return ServiceConfig(
         scheme=scheme,
         prime_bits=32,
         seed=5,
         matching_strategy=strategy,
-        incremental=incremental,
         max_age_seconds=MAX_AGE,
     )
 
 
-@pytest.mark.parametrize("incremental", [False, True])
 @pytest.mark.parametrize("strategy", ["planned", "naive"])
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-def test_session_matches_plaintext_ground_truth(scenario, scheme, strategy, incremental):
-    config = _config(scheme, strategy, incremental)
+def test_session_matches_plaintext_ground_truth(scenario, scheme, strategy):
+    config = _config(scheme, strategy)
     with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
         outcomes, candidates = _drive(service, scenario, _script(scenario.grid))
     assert any(outcomes), "the script must notify someone"
@@ -140,12 +144,11 @@ def test_session_matches_plaintext_ground_truth(scenario, scheme, strategy, incr
     assert candidates[-2] < candidates[-3] == 10
 
 
-@pytest.mark.parametrize("incremental", [False, True])
 @pytest.mark.parametrize("strategy", ["planned", "naive"])
-def test_snapshot_restore_midway_changes_nothing(scenario, strategy, incremental):
+def test_snapshot_restore_midway_changes_nothing(scenario, strategy):
     steps = _script(scenario.grid)
     split = steps.index(("one_shot", ("flash", (0, 1, 6)), 15.0))
-    config = _config("huffman", strategy, incremental)
+    config = _config("huffman", strategy)
 
     with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
         base = service.pairing_count
@@ -168,3 +171,71 @@ def test_snapshot_restore_midway_changes_nothing(scenario, strategy, incremental
 
     assert head + tail == whole
     assert head_pairings + tail_pairings == whole_pairings
+
+
+#: Random session steps: a user reports from a cell (Move when the session
+#: hosts the pseudonym, Subscribe when it is new or was purged), a standing
+#: tick, or the clock jumps ahead so that older reports expire.  Half the
+#: cells lie inside a zone, so a report often flips a user's outcome.
+STEP = st.one_of(
+    st.tuples(st.just("report"), st.integers(0, 3), st.sampled_from([8, 14, 21, 0, 3, 30])),
+    st.tuples(st.just("tick")),
+    st.tuples(st.just("wait"), st.floats(1.0, 2 * MAX_AGE)),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(steps=st.lists(STEP, max_size=16), strategy=st.sampled_from(["planned", "naive"]))
+# A pseudonym purged on expiry subscribes again from sequence 0 at a cell
+# outside the zone it matched before.
+@example(
+    steps=[("report", 0, 8), ("tick",), ("wait", 60.0), ("tick",), ("report", 0, 0)],
+    strategy="planned",
+)
+def test_property_warm_ticks_equal_a_fresh_engine(scenario, steps, strategy):
+    """Over random subscribe / move / tick / expire sessions with a fixed
+    standing set, every tick notifies what the plaintext oracle and an engine
+    without remembered outcomes notify, and is charged exactly what a fresh
+    engine charges for the candidates whose (user, sequence) changed since
+    the previous tick."""
+    grid = scenario.grid
+    zones = {"zone-a": AlertZone(cell_ids=(7, 8, 9, 13, 14, 15)), "zone-b": AlertZone(cell_ids=(20, 21, 27))}
+    with AlertService(grid, scenario.probabilities, config=_config("huffman", strategy)) as service:
+        for alert_id, zone in zones.items():
+            service.publish_zone(PublishZone(alert_id=alert_id, zone=zone, evaluate=False, at=0.0))
+        batches = [service.standing_zone(alert_id).batch for alert_id in zones]
+        counter = service.system.authority.group.counter
+        reported, previous, now = {}, set(), 0.0
+        for step in steps + [("tick",)]:
+            now += 1.0
+            if step[0] == "report":
+                user_id, location = f"user-{step[1]}", grid.cell_center(step[2])
+                if user_id in service.system.users:
+                    service.move(Move(user_id=user_id, location=location, at=now))
+                else:
+                    service.subscribe(Subscribe(user_id=user_id, location=location, at=now))
+                reported[user_id] = now
+                continue
+            if step[0] == "wait":
+                now += step[1]
+                continue
+            report = service.evaluate_standing(EvaluateStanding(at=now))
+            candidates = service.store.fresh_candidates(now)
+            fresh = _fresh_users(service, reported, now)
+            assert {c.user_id for c in candidates} == fresh
+            assert len(service.store) == len(fresh)  # the tick purged the expired
+            expected = sorted(
+                (user, alert_id)
+                for alert_id, zone in zones.items()
+                for user in service.users_actually_in_zone(zone)
+                if user in fresh
+            )
+            notified = [(n.user_id, n.alert_id) for n in report.notifications]
+            assert sorted(notified) == expected
+            reference = MatchingEngine(service.engine.hve, service.engine.options)
+            assert [(n.user_id, n.alert_id) for n in reference.match(batches, candidates)] == notified
+            changed = [c for c in candidates if (c.user_id, c.sequence_number) not in previous]
+            before = counter.total
+            MatchingEngine(service.engine.hve, service.engine.options).match(batches, changed)
+            assert report.pairings_spent == counter.total - before
+            previous = {(c.user_id, c.sequence_number) for c in candidates}
