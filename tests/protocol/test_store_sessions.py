@@ -215,19 +215,30 @@ def _run(world, options, max_age, script, engine=None, store=None, reset=False):
     return passes, costs
 
 
+#: The outcome axis: "kept" ticks answer unchanged (user, sequence) entries
+#: from remembered outcomes; "dropped" ticks reset the engine first and
+#: evaluate the whole fresh population.
+OUTCOMES = {"kept": False, "dropped": True}
+
+
 class TestScriptedParity:
     @pytest.mark.parametrize("script", sorted(SCRIPTS))
+    @pytest.mark.parametrize("outcomes", sorted(OUTCOMES))
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_ticks_match_the_oracle_and_the_scalar_pairings(self, world, mode, script):
+    def test_ticks_match_the_oracle_and_the_scalar_pairings(self, world, mode, outcomes, script):
         max_age, events = SCRIPTS[script]
-        passes, costs = _run(world, _options(mode), max_age, events)
+        reset = OUTCOMES[outcomes]
+        passes, costs = _run(world, _options(mode), max_age, events, reset=reset)
         expected = _oracle(max_age, events)
         assert passes == [notified for notified, _ in expected]
         assert any(passes), "the script must notify someone"
 
         if mode != "naive":
-            _, scalar_costs = _run(world, _options("scalar"), max_age, events)
+            _, scalar_costs = _run(world, _options("scalar"), max_age, events, reset=reset)
             assert costs == scalar_costs
+        if reset:
+            assert all(cost > 0 for cost, (_, fresh) in zip(costs, expected) if fresh)
+            return
         full, full_costs = _run(world, _options(mode), max_age, events, reset=True)
         assert full == passes
         assert sum(costs) <= sum(full_costs)
@@ -440,8 +451,9 @@ class TestPersistence:
                 payload, hve.group, engine=MatchingEngine(hve)
             )
 
+    @pytest.mark.parametrize("outcomes", sorted(OUTCOMES))
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_restore_midway_changes_nothing(self, world, mode):
+    def test_restore_midway_changes_nothing(self, world, mode, outcomes):
         """Stop the "movers" script after its first move, round-trip store and
         engine state through JSON, and resume in a fresh engine: outcomes and
         pairings match the uninterrupted run."""
@@ -449,18 +461,30 @@ class TestPersistence:
         max_age, events = SCRIPTS["movers"]
         split = events.index(("tick", 2.0)) + 1
         options = _options(mode)
-        whole, whole_costs = _run(world, options, max_age, events)
+        reset = OUTCOMES[outcomes]
+        whole, whole_costs = _run(world, options, max_age, events, reset=reset)
 
         engine = MatchingEngine(hve, options)
         store = CiphertextStore(max_age_seconds=max_age)
-        head, head_costs = _run(world, options, max_age, events[:split], engine=engine, store=store)
+        head, head_costs = _run(
+            world, options, max_age, events[:split], engine=engine, store=store, reset=reset
+        )
         payload = json.loads(json.dumps(store.to_payload(engine)))
         resumed_engine = MatchingEngine(hve, options)
         resumed_store = CiphertextStore.from_payload(payload, hve.group, engine=resumed_engine)
         tail, tail_costs = _run(
-            world, options, max_age, events[split:], engine=resumed_engine, store=resumed_store
+            world,
+            options,
+            max_age,
+            events[split:],
+            engine=resumed_engine,
+            store=resumed_store,
+            reset=reset,
         )
         assert head + tail == whole
         assert head_costs + tail_costs == whole_costs
         assert resumed_engine.standing_alerts() == sorted(ZONES)
-        assert tail_costs[0] == 0  # the tick after the restore is warm
+        if reset:
+            assert tail_costs[0] == head_costs[-1] > 0  # the same population, in full again
+        else:
+            assert tail_costs[0] == 0  # the tick after the restore is warm

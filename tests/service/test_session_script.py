@@ -34,6 +34,10 @@ from repro.service import (
 
 MAX_AGE = 50.0
 
+#: "kept" ticks answer unchanged (user, sequence) entries from remembered
+#: outcomes; "dropped" ticks reset the engine first and evaluate everyone.
+OUTCOMES = ("kept", "dropped")
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -72,8 +76,12 @@ def _fresh_users(service, last_report_at, now):
     return {user for user, at in last_report_at.items() if now - at <= MAX_AGE}
 
 
-def _drive(service, scenario, steps, check=True, state=None):
-    """Run ``steps``; returns per-report notification keys and candidate counts."""
+def _drive(service, scenario, steps, check=True, state=None, outcomes="kept"):
+    """Run ``steps``; returns per-report notification keys and candidate counts.
+
+    With ``outcomes="dropped"`` the engine forgets its remembered outcomes
+    before every standing tick, so each tick pays a full evaluation.
+    """
     state = state if state is not None else {"zones": {}, "reported": {}, "last_fresh": None}
     zones, reported = state["zones"], state["reported"]
     outcomes, candidates = [], []
@@ -96,6 +104,8 @@ def _drive(service, scenario, steps, check=True, state=None):
             report = service.publish_zone(PublishZone(alert_id=payload[0], zone=zone, standing=False, at=at))
             evaluated = {payload[0]: zone}
         else:
+            if outcomes == "dropped":
+                service.engine.reset_state()
             report = service.evaluate_standing(EvaluateStanding(at=at))
             evaluated = dict(zones)
         if report is None:
@@ -114,7 +124,9 @@ def _drive(service, scenario, steps, check=True, state=None):
                 assert payload[0] not in service.engine.standing_alerts()
             if kind == "tick":
                 snapshot = ({u: reported[u] for u in fresh}, tuple(zones))
-                if snapshot == state["last_fresh"]:
+                if outcomes == "dropped":
+                    assert (report.pairings_spent > 0) == bool(fresh and zones)
+                elif snapshot == state["last_fresh"]:
                     assert report.pairings_spent == 0
                     assert report.fused_evals == 0
                 state["last_fresh"] = snapshot
@@ -133,32 +145,34 @@ def _config(scheme, strategy):
     )
 
 
+@pytest.mark.parametrize("outcomes", OUTCOMES)
 @pytest.mark.parametrize("strategy", ["planned", "naive"])
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-def test_session_matches_plaintext_ground_truth(scenario, scheme, strategy):
+def test_session_matches_plaintext_ground_truth(scenario, scheme, strategy, outcomes):
     config = _config(scheme, strategy)
     with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
-        outcomes, candidates = _drive(service, scenario, _script(scenario.grid))
-    assert any(outcomes), "the script must notify someone"
+        notified, candidates = _drive(service, scenario, _script(scenario.grid), outcomes=outcomes)
+    assert any(notified), "the script must notify someone"
     # The tick at t=55 sees only the reports younger than MAX_AGE.
     assert candidates[-2] < candidates[-3] == 10
 
 
+@pytest.mark.parametrize("outcomes", OUTCOMES)
 @pytest.mark.parametrize("strategy", ["planned", "naive"])
-def test_snapshot_restore_midway_changes_nothing(scenario, strategy):
+def test_snapshot_restore_midway_changes_nothing(scenario, strategy, outcomes):
     steps = _script(scenario.grid)
     split = steps.index(("one_shot", ("flash", (0, 1, 6)), 15.0))
     config = _config("huffman", strategy)
 
     with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
         base = service.pairing_count
-        whole, _ = _drive(service, scenario, steps, check=False)
+        whole, _ = _drive(service, scenario, steps, check=False, outcomes=outcomes)
         whole_pairings = service.pairing_count - base
 
     with AlertService(scenario.grid, scenario.probabilities, config=config) as service:
         base = service.pairing_count
         state = {"zones": {}, "reported": {}, "last_fresh": None}
-        head, _ = _drive(service, scenario, steps[:split], state=state)
+        head, _ = _drive(service, scenario, steps[:split], state=state, outcomes=outcomes)
         payload = json.loads(json.dumps(service.snapshot()))
         head_pairings = service.pairing_count - base
     with AlertService(scenario.grid, scenario.probabilities, config=config) as restored:
@@ -166,7 +180,9 @@ def test_snapshot_restore_midway_changes_nothing(scenario, strategy):
         base = restored.pairing_count
         # The restored session holds no plaintext registry to check against;
         # the uninterrupted run is the reference.
-        tail, _ = _drive(restored, scenario, steps[split:], check=False, state=state)
+        tail, _ = _drive(
+            restored, scenario, steps[split:], check=False, state=state, outcomes=outcomes
+        )
         tail_pairings = restored.pairing_count - base
 
     assert head + tail == whole
