@@ -590,9 +590,7 @@ class MatchingEngine:
 
         Only the (candidate, alert) entries without a remembered outcome for
         the candidate's sequence number are evaluated and charged pairings;
-        the rest are answered from the engine's state.  Every pass looks up
-        (or builds) the plan, so plan reuse counts the same whether or not
-        anything was stale.
+        the rest are answered from the engine's state.
         """
         batches = list(batches)
         candidates = list(candidates)
@@ -767,34 +765,30 @@ class MatchingEngine:
         """Evaluate candidate ``j`` against the batch indices ``stale[j]`` and
         remember the outcomes under the candidate's sequence number.
 
-        With a fused program the whole outstanding worklist is one backend
-        call, no per-token Python dispatch at all.  From
-        ``fused_pack_min_jobs`` candidates up, the call runs through the
-        plan's resident :class:`~repro.crypto.backends.base.FusedWorklist`
-        over the whole population (candidates with nothing stale need
-        nothing), keyed by ``(user_id, sequence_number)`` so repeat passes
-        reuse the packed columns and movers are patched in place.
+        With a fused program the whole population is one backend call (a
+        candidate with nothing stale needs nothing and costs nothing), no
+        per-token Python dispatch at all.  From ``fused_pack_min_jobs``
+        candidates up, the call runs through the plan's resident
+        :class:`~repro.crypto.backends.base.FusedWorklist`, keyed by
+        ``(user_id, sequence_number)`` so repeat passes reuse the packed
+        columns and movers are patched in place.
         """
         group = self.hve.group
         hits_before = group.precomp_hits
         program = evaluation.fused_program
         order = list(stale)
         if program is not None:
+            worklist = None
             if len(candidates) >= self.options.fused_pack_min_jobs:
                 worklist = evaluation.fused_worklist
                 if worklist is None:
                     worklist = evaluation.fused_worklist = group.backend.make_fused_worklist(program)
-                jobs = [
-                    candidate.ciphertext._exponent_rows + (tuple(stale.get(j, ())),)
-                    for j, candidate in enumerate(candidates)
-                ]
-                rows, _ = group.fused_eval(program, jobs, worklist=worklist, keys=keys)
-                evaluated = [rows[j] for j in order]
-            else:
-                jobs = [
-                    candidates[j].ciphertext._exponent_rows + (tuple(stale[j]),) for j in order
-                ]
-                evaluated, _ = group.fused_eval(program, jobs)
+            jobs = [
+                candidate.ciphertext._exponent_rows + (tuple(stale.get(j, ())),)
+                for j, candidate in enumerate(candidates)
+            ]
+            rows, _ = group.fused_eval(program, jobs, worklist=worklist, keys=keys)
+            evaluated = [rows[j] for j in order]
             self.last_pass.fused_evals += 1
         else:
             evaluate = evaluation.evaluator

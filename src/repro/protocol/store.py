@@ -78,7 +78,10 @@ class CiphertextStore:
         """Store an update; returns True if it replaced / created the user's record.
 
         Stale updates (an older sequence number than what is stored) are
-        ignored, which makes ingestion idempotent under re-delivery.
+        ignored, which makes ingestion idempotent under re-delivery.  An
+        equal sequence number replaces the report; when its ciphertext
+        differs (a device restarted its numbering) the caller must forget
+        the user's remembered outcomes, as ``AlertService`` does.
         """
         existing = self._reports.get(update.user_id)
         if existing is not None and update.sequence_number < existing.sequence_number:

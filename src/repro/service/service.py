@@ -354,9 +354,7 @@ class AlertService:
 
     def _purge_expired(self) -> None:
         """Forget the pseudonyms whose reports expired at the session clock:
-        their reports, hosted users and remembered outcomes.  A pseudonym that
-        reports again later, even from sequence number 0, is evaluated
-        afresh."""
+        reports, hosted users and remembered outcomes."""
         purged = self.store.purge_stale(self._clock)
         if purged:
             self.engine.forget_users(purged)
@@ -423,7 +421,14 @@ class AlertService:
         return self._clock
 
     def _store_update(self, update: LocationUpdate) -> None:
+        user_id = update.user_id
+        previous = self.store.report_for(user_id) if user_id in self.store else None
         stored = self.store.ingest(update, received_at=self._clock)
+        same = previous is not None and previous.sequence_number == update.sequence_number
+        if same and previous.ciphertext != update.ciphertext:
+            # Outcomes are remembered per (user, sequence number): a device
+            # that restarts its numbering from a new cell is evaluated afresh.
+            self.engine.forget_users([user_id])
         # Remembered for the receipt of the request currently being handled
         # (uploads reach the sink synchronously).
         self._last_ingest = (update.user_id, update.sequence_number, stored)
@@ -436,11 +441,8 @@ class AlertService:
         return IngestReceipt(user_id=user_id, sequence_number=report.sequence_number, stored=True)
 
     def _journal_append(self, request: Request) -> None:
-        """Write-ahead: durably record a request before executing it.
-
-        Every request type mutates the session: the evaluation tick too
-        advances the clock, purges expired reports and updates the engine's
-        remembered outcomes, which decide what later ticks are charged.
+        """Write-ahead: durably record a request before executing it (every
+        request mutates the session; see :mod:`repro.service.journal`).
 
         No-op without a configured journal, during :meth:`restore`'s replay
         (replayed requests are already in the journal), and for requests a

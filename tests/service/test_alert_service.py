@@ -223,6 +223,34 @@ class TestFreshness:
             warm = service.evaluate_standing(EvaluateStanding(at=52.0))
             assert (warm.notified_users, warm.pairings_spent) == ((), 0)
 
+    def test_same_sequence_upload_from_a_new_cell_is_matched_there(self, scenario):
+        """Without expiry a restarted device's sequence-0 upload replaces its
+        stored sequence-0 report: the standing zone must answer from the new
+        ciphertext, not the outcome remembered for the old one."""
+        with make_service(scenario) as service:
+            authority = service.system.authority
+
+            def upload(cell):
+                ciphertext = authority.hve.encrypt(
+                    authority.public_key, authority.public_encoding().index_of(cell)
+                )
+                update = LocationUpdate(user_id="device", ciphertext=ciphertext, sequence_number=0)
+                return service.ingest_batch(IngestBatch(updates=(update,)))
+
+            service.publish_zone(
+                PublishZone(alert_id="s", zone=AlertZone(cell_ids=(7,)), evaluate=False)
+            )
+            assert upload(3).notified_users == ()
+            moved = upload(7)
+            assert moved.notified_users == ("device",)
+            assert moved.pairings_spent > 0
+            # Re-delivering the stored ciphertext changes nothing and costs nothing.
+            stored = service.store.report_for("device")
+            redelivered = service.ingest_batch(
+                IngestBatch(updates=(LocationUpdate("device", stored.ciphertext, 0),))
+            )
+            assert (redelivered.notified_users, redelivered.pairings_spent) == (("device",), 0)
+
 
 class TestObserverMetrics:
     def test_every_request_emits_metrics(self, scenario):

@@ -11,6 +11,7 @@ drives random subscribe / move / tick / expire sessions and checks every
 warm tick against an engine without remembered outcomes.
 """
 
+import dataclasses
 import json
 import random
 
@@ -25,6 +26,7 @@ from repro.protocol.matching import MatchingEngine
 from repro.service import (
     AlertService,
     EvaluateStanding,
+    IngestBatch,
     Move,
     PublishZone,
     RetractZone,
@@ -190,11 +192,14 @@ def test_snapshot_restore_midway_changes_nothing(scenario, strategy, outcomes):
 
 
 #: Random session steps: a user reports from a cell (Move when the session
-#: hosts the pseudonym, Subscribe when it is new or was purged), a standing
-#: tick, or the clock jumps ahead so that older reports expire.  Half the
-#: cells lie inside a zone, so a report often flips a user's outcome.
+#: hosts the pseudonym, Subscribe when it is new or was purged), a hosted
+#: device restarts and re-uploads its stored sequence number from a cell, a
+#: standing tick, or the clock jumps ahead so that older reports expire.
+#: Half the cells lie inside a zone, so a report often flips an outcome.
+CELLS = [8, 14, 21, 0, 3, 30]
 STEP = st.one_of(
-    st.tuples(st.just("report"), st.integers(0, 3), st.sampled_from([8, 14, 21, 0, 3, 30])),
+    st.tuples(st.just("report"), st.integers(0, 3), st.sampled_from(CELLS)),
+    st.tuples(st.just("restart"), st.integers(0, 3), st.sampled_from(CELLS)),
     st.tuples(st.just("tick")),
     st.tuples(st.just("wait"), st.floats(1.0, 2 * MAX_AGE)),
 )
@@ -208,12 +213,14 @@ STEP = st.one_of(
     steps=[("report", 0, 8), ("tick",), ("wait", 60.0), ("tick",), ("report", 0, 0)],
     strategy="planned",
 )
+# A device re-uploads its stored sequence number from a cell inside a zone.
+@example(steps=[("report", 0, 0), ("tick",), ("restart", 0, 8)], strategy="planned")
 def test_property_warm_ticks_equal_a_fresh_engine(scenario, steps, strategy):
-    """Over random subscribe / move / tick / expire sessions with a fixed
-    standing set, every tick notifies what the plaintext oracle and an engine
-    without remembered outcomes notify, and is charged exactly what a fresh
-    engine charges for the candidates whose (user, sequence) changed since
-    the previous tick."""
+    """Over random subscribe / move / restart / tick / expire sessions with a
+    fixed standing set, every tick notifies what the plaintext oracle and an
+    engine without remembered outcomes notify, and is charged exactly what a
+    fresh engine charges for the candidates whose (user, sequence) changed,
+    or whose ciphertext was replaced, since the previous tick."""
     grid = scenario.grid
     zones = {"zone-a": AlertZone(cell_ids=(7, 8, 9, 13, 14, 15)), "zone-b": AlertZone(cell_ids=(20, 21, 27))}
     with AlertService(grid, scenario.probabilities, config=_config("huffman", strategy)) as service:
@@ -221,10 +228,24 @@ def test_property_warm_ticks_equal_a_fresh_engine(scenario, steps, strategy):
             service.publish_zone(PublishZone(alert_id=alert_id, zone=zone, evaluate=False, at=0.0))
         batches = [service.standing_zone(alert_id).batch for alert_id in zones]
         counter = service.system.authority.group.counter
-        reported, previous, now = {}, set(), 0.0
+        reported, previous, restarted, now = {}, set(), set(), 0.0
         for step in steps + [("tick",)]:
             now += 1.0
-            if step[0] == "report":
+            if step[0] == "restart" and f"user-{step[1]}" in service.system.users:
+                user_id = f"user-{step[1]}"
+                user = service.system.users[user_id]
+                user.move_to(grid.cell_center(step[2]))
+                authority = service.system.authority
+                update = user.report_location(
+                    grid, authority.public_encoding(), authority.hve, authority.public_key
+                )
+                stored = service.store.report_for(user_id).sequence_number
+                update = dataclasses.replace(update, sequence_number=stored)
+                service.ingest_batch(IngestBatch(updates=(update,), evaluate=False, at=now))
+                reported[user_id] = now
+                restarted.add(user_id)
+                continue
+            if step[0] in ("report", "restart"):
                 user_id, location = f"user-{step[1]}", grid.cell_center(step[2])
                 if user_id in service.system.users:
                     service.move(Move(user_id=user_id, location=location, at=now))
@@ -250,8 +271,13 @@ def test_property_warm_ticks_equal_a_fresh_engine(scenario, steps, strategy):
             assert sorted(notified) == expected
             reference = MatchingEngine(service.engine.hve, service.engine.options)
             assert [(n.user_id, n.alert_id) for n in reference.match(batches, candidates)] == notified
-            changed = [c for c in candidates if (c.user_id, c.sequence_number) not in previous]
+            changed = [
+                c
+                for c in candidates
+                if (c.user_id, c.sequence_number) not in previous or c.user_id in restarted
+            ]
             before = counter.total
             MatchingEngine(service.engine.hve, service.engine.options).match(batches, changed)
             assert report.pairings_spent == counter.total - before
             previous = {(c.user_id, c.sequence_number) for c in candidates}
+            restarted = set()
